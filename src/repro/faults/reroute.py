@@ -28,7 +28,9 @@ remainder is alive and strictly shorter, so any mixed walk terminates.
 Seitz argument restricted to the pairs actually routed -- the channel
 dependency graph must stay acyclic, and on simplified meshes every path's
 Fig. 5(b) channel enumeration must still strictly increase -- so the
-existing XYX-legality invariant checker passes under degradation.
+existing XYX-legality invariant checker passes under degradation. It
+walks the routes once, as per-destination route trees, and derives every
+check from them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ from __future__ import annotations
 from repro.errors import RoutingError, ValidationError
 from repro.noc.routing import (
     RouteComputer,
+    RouteForest,
+    find_cycle,
     is_deadlock_free,
+    xyx_channel_number,
     xyx_path_channel_numbers,
 )
 from repro.noc.topology import (
@@ -176,12 +181,18 @@ class DegradedRouting(RouteComputer):
             ):
                 ok = False
                 break
+            known = self._base_ok.get((nxt, destination))
+            if known is not None:
+                # The base route is destination-based: from here on it is
+                # the already-decided route of nxt.
+                ok = known
+                break
             nodes.append(nxt)
             node = nxt
             if len(nodes) > limit:
                 ok = False
                 break
-        # Every prefix of an alive path is alive; every node collected on a
+        # Every suffix of an alive path is alive; every node collected on a
         # broken walk routes through the same broken hop.
         for n in nodes:
             self._base_ok[(n, destination)] = ok
@@ -290,6 +301,12 @@ def verify_degraded(
        strictly increasing -- the same property the online
        ``ChannelOrderChecker`` enforces flit by flit.
 
+    All three read one :class:`~repro.noc.routing.RouteForest` walk, which
+    decides each ``(node, destination)`` hop once. Check 3 runs per
+    dependency edge: those edges are exactly the consecutive channel pairs
+    of the routed paths, so every edge increasing is every path
+    increasing. ``routing.detour_hops`` is left as it was found.
+
     Returns a report dict (``pairs_checked``, ``rerouted_pairs``,
     ``unroutable_pairs``, ``xyx_checked``).
     """
@@ -299,58 +316,60 @@ def verify_degraded(
     if pairs is None:
         live = sorted(alive_nodes(topology, routing.dead), key=str)
         pairs = [(s, d) for s in live for d in live if s != d]
-    else:
-        pairs = list(pairs)
 
+    forest = RouteForest(topology, routing)
+    routed = 0
     rerouted = 0
     unroutable = 0
-    paths = []
-    routed_pairs = []
     saved_detour_hops = routing.detour_hops
-    for source, destination in pairs:
-        try:
-            path = routing.path(topology, source, destination)
-        except RoutingError as exc:
-            if strict:
+    try:
+        for source, destination in pairs:
+            reason = forest.walk(source, destination)
+            if reason is None:
+                routed += 1
+                if routing.is_rerouted(source, destination):
+                    rerouted += 1
+            elif strict:
                 raise ValidationError(
                     f"degraded routing cannot serve {source}->{destination}: "
-                    f"{exc}"
-                ) from exc
-            unroutable += 1
-            continue
-        for a, b in zip(path, path[1:]):
-            if (a, b) in routing.dead:
-                raise ValidationError(
-                    f"degraded route {source}->{destination} crosses dead "
-                    f"channel {a}->{b}"
+                    f"{reason}"
                 )
-        paths.append(path)
-        routed_pairs.append((source, destination))
-        if routing.is_rerouted(source, destination):
-            rerouted += 1
+            else:
+                unroutable += 1
+    finally:
+        routing.detour_hops = saved_detour_hops
 
-    if not is_deadlock_free(topology, routing, pairs=routed_pairs):
+    for node, nxt, destination in forest.hops():
+        if (node, nxt) in routing.dead:
+            raise ValidationError(
+                f"degraded route {node}->{destination} crosses dead "
+                f"channel {node}->{nxt}"
+            )
+
+    if not is_deadlock_free(topology, routing, forest=forest):
+        cycle = find_cycle(forest.dependency_graph())
         raise ValidationError(
             f"degraded routing on {topology.name} creates a cyclic channel "
-            f"dependency over {len(routed_pairs)} pairs: deadlock possible"
+            f"dependency over {routed} pairs: deadlock possible "
+            f"({' -> '.join(f'{a}->{b}' for a, b in cycle or ())})"
         )
-    routing.detour_hops = saved_detour_hops
 
-    xyx_checked = False
-    if isinstance(topology, SimplifiedMeshTopology):
-        xyx_checked = True
-        for path in paths:
-            numbers = xyx_path_channel_numbers(
-                topology.cols, topology.rows, path
-            )
-            if any(b <= a for a, b in zip(numbers, numbers[1:])):
+    xyx_checked = isinstance(topology, SimplifiedMeshTopology)
+    if xyx_checked:
+        cols, rows = topology.cols, topology.rows
+        for held, requested, destination in forest.dependencies():
+            if xyx_channel_number(cols, rows, *requested) <= xyx_channel_number(
+                cols, rows, *held
+            ):
+                path = forest.path(held[0], destination)
+                numbers = xyx_path_channel_numbers(cols, rows, path)
                 raise ValidationError(
                     f"degraded route {path} violates the Fig. 5(b) channel "
                     f"enumeration: {numbers} is not strictly increasing"
                 )
 
     return {
-        "pairs_checked": len(routed_pairs),
+        "pairs_checked": routed,
         "rerouted_pairs": rerouted,
         "unroutable_pairs": unroutable,
         "xyx_checked": xyx_checked,

@@ -13,9 +13,7 @@ column and ``Y-`` is the reply direction back toward the core/memory row.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
-
-import networkx as nx
+from typing import Iterable, Iterator
 
 from repro.errors import RoutingError
 from repro.noc.topology import HUB, HaloTopology, NodeId, Topology
@@ -238,40 +236,212 @@ def xyx_path_channel_numbers(
     ]
 
 
-def channel_dependency_graph(
+#: A directed channel ``(src, dst)``: a vertex of the dependency graph.
+ChannelKey = tuple[NodeId, NodeId]
+#: Channel dependency graph: each channel maps to the channels a packet
+#: holding it may request next (insertion-ordered, so walks over it and
+#: the cycles it reports are deterministic).
+DependencyGraph = dict[ChannelKey, dict[ChannelKey, None]]
+
+
+class RouteForest:
+    """Per-destination route trees of a destination-based route computer.
+
+    Every route computer here picks ``next_hop`` from ``(current,
+    destination)`` alone, so ``path(s, d)`` is ``s`` followed by
+    ``path(next_hop(s, d), d)``: the routes toward one destination form a
+    tree rooted at it. :meth:`walk` grows these trees and decides each
+    ``(node, destination)`` hop at most once -- a walk stops at the first
+    node already proven to reach the destination, or already known to
+    fail. Routes, channel usage and the channel dependency graph all
+    derive from the trees, so proving every pair costs O(nodes x
+    destinations) hop decisions instead of O(pairs x path length).
+    """
+
+    def __init__(self, topology: Topology, routing: RouteComputer) -> None:
+        self.topology = topology
+        self.routing = routing
+        #: ``trees[d][u]``: next hop from ``u`` toward ``d``, for every
+        #: node a walk proved to reach ``d``.
+        self.trees: dict[NodeId, dict[NodeId, NodeId]] = {}
+        #: ``failures[d][u]``: why the route from ``u`` to ``d`` fails.
+        self.failures: dict[NodeId, dict[NodeId, str]] = {}
+
+    def walk(self, source: NodeId, destination: NodeId) -> str | None:
+        """Prove that *source* routes to *destination*.
+
+        Returns ``None`` on success, else why the route fails: a stall, a
+        missing channel, or a loop (a node revisited within the walk).
+        Every node of a failed walk shares the failure, because its own
+        route continues along the same hops.
+        """
+        tree = self.trees.setdefault(destination, {})
+        failed = self.failures.setdefault(destination, {})
+        if source == destination or source in tree:
+            return None
+        if source in failed:
+            return failed[source]
+        topology, routing = self.topology, self.routing
+        hops: dict[NodeId, NodeId] = {}
+        node = source
+        while True:
+            try:
+                nxt = routing.next_hop(topology, node, destination)
+            except RoutingError as exc:
+                reason = str(exc)
+                break
+            if nxt is None:
+                reason = (
+                    f"{routing.name}: stalled at {node} before reaching "
+                    f"{destination}"
+                )
+                break
+            if not topology.has_channel(node, nxt):
+                reason = (
+                    f"{routing.name}: selected missing channel {node}->{nxt} "
+                    f"in {topology.name}"
+                )
+                break
+            hops[node] = nxt
+            if nxt == destination or nxt in tree:
+                tree.update(hops)
+                return None
+            if nxt in failed:
+                reason = failed[nxt]
+                break
+            if nxt in hops:
+                reason = (
+                    f"{routing.name}: revisits {nxt} "
+                    f"({source}->{destination}); routing loop"
+                )
+                break
+            node = nxt
+        failed.update(dict.fromkeys(hops, reason))
+        failed[node] = reason
+        return reason
+
+    def path(self, source: NodeId, destination: NodeId) -> list[NodeId]:
+        """The route ``[source, ..., destination]`` read off the tree.
+
+        Walks the pair first if needed; raises :class:`RoutingError` when
+        it does not route.
+        """
+        reason = self.walk(source, destination)
+        if reason is not None:
+            raise RoutingError(reason)
+        tree = self.trees.get(destination, {})
+        path = [source]
+        while path[-1] != destination:
+            path.append(tree[path[-1]])
+        return path
+
+    def hops(self) -> Iterator[tuple[NodeId, NodeId, NodeId]]:
+        """``(node, next_hop, destination)`` for every proven tree edge."""
+        for destination, tree in self.trees.items():
+            for node, nxt in tree.items():
+                yield node, nxt, destination
+
+    def dependencies(self) -> Iterator[tuple[ChannelKey, ChannelKey, NodeId]]:
+        """``(held, requested, destination)`` for every proven turn.
+
+        One per tree node whose next hop is not the destination: these
+        are exactly the consecutive channel pairs of the routed paths.
+        """
+        for destination, tree in self.trees.items():
+            for node, nxt in tree.items():
+                if nxt != destination:
+                    yield (node, nxt), (nxt, tree[nxt]), destination
+
+    def dependency_graph(self) -> DependencyGraph:
+        """The channel dependency graph of the routes walked so far."""
+        graph: DependencyGraph = {
+            (channel.src, channel.dst): {}
+            for channel in self.topology.channels()
+        }
+        for held, requested, _ in self.dependencies():
+            graph[held][requested] = None
+        return graph
+
+
+def route_forest(
     topology: Topology,
     routing: RouteComputer,
     pairs: Iterable[tuple[NodeId, NodeId]] | None = None,
-) -> "nx.DiGraph":
-    """Build the channel dependency graph induced by *routing*.
+) -> RouteForest:
+    """Walk *pairs* (default: every ordered node pair) into a forest.
 
-    Nodes are directed channels ``(src, dst)``; an edge from channel ``a``
-    to channel ``b`` exists when some routed path holds ``a`` while
-    requesting ``b`` (i.e. uses them consecutively). Wormhole routing is
-    deadlock-free iff this graph is acyclic (Dally & Seitz).
+    Raises :class:`RoutingError` for the first pair that does not route,
+    as :meth:`RouteComputer.path` would.
     """
-    graph = nx.DiGraph()
-    for channel in topology.channels():
-        graph.add_node((channel.src, channel.dst))
+    forest = RouteForest(topology, routing)
     if pairs is None:
         nodes = sorted(topology.nodes)
         pairs = ((s, d) for s in nodes for d in nodes if s != d)
     for source, destination in pairs:
-        path = routing.path(topology, source, destination)
-        for i in range(len(path) - 2):
-            graph.add_edge(
-                (path[i], path[i + 1]),
-                (path[i + 1], path[i + 2]),
-            )
-    return graph
+        reason = forest.walk(source, destination)
+        if reason is not None:
+            raise RoutingError(reason)
+    return forest
+
+
+def find_cycle(graph: DependencyGraph) -> list[ChannelKey] | None:
+    """A dependency cycle ``[a, b, ..., a]`` of *graph*, or ``None``.
+
+    Iterative depth-first search, so large fabrics cannot hit the
+    recursion limit; roots and successors are taken in mapping order, so
+    the reported cycle is deterministic.
+    """
+    done: set[ChannelKey] = set()
+    for root in graph:
+        if root in done:
+            continue
+        stack = [(root, iter(graph[root]))]
+        depth = {root: 0}
+        while stack:
+            channel, successors = stack[-1]
+            for succ in successors:
+                if succ in depth:
+                    cycle = [entry[0] for entry in stack[depth[succ]:]]
+                    return cycle + [succ]
+                if succ not in done:
+                    depth[succ] = len(stack)
+                    stack.append((succ, iter(graph.get(succ, {}))))
+                    break
+            else:
+                stack.pop()
+                del depth[channel]
+                done.add(channel)
+    return None
+
+
+def channel_dependency_graph(
+    topology: Topology,
+    routing: RouteComputer,
+    pairs: Iterable[tuple[NodeId, NodeId]] | None = None,
+) -> DependencyGraph:
+    """Build the channel dependency graph induced by *routing*.
+
+    Nodes are directed channels ``(src, dst)`` -- every channel of the
+    topology; an edge from channel ``a`` to channel ``b`` exists when some
+    routed path holds ``a`` while requesting ``b`` (i.e. uses them
+    consecutively). Wormhole routing is deadlock-free iff this graph is
+    acyclic (Dally & Seitz).
+    """
+    return route_forest(topology, routing, pairs).dependency_graph()
 
 
 def is_deadlock_free(
     topology: Topology,
     routing: RouteComputer,
     pairs: Iterable[tuple[NodeId, NodeId]] | None = None,
+    *,
+    forest: RouteForest | None = None,
 ) -> bool:
-    """True when *routing*'s channel dependency graph is acyclic."""
-    return nx.is_directed_acyclic_graph(
-        channel_dependency_graph(topology, routing, pairs)
-    )
+    """True when *routing*'s channel dependency graph is acyclic.
+
+    *forest* supplies routes already walked (then *pairs* is ignored), so
+    a caller that proved routability need not walk the pairs again.
+    """
+    if forest is None:
+        forest = route_forest(topology, routing, pairs)
+    return find_cycle(forest.dependency_graph()) is None

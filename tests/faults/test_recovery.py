@@ -3,9 +3,11 @@
 import pytest
 
 from repro.cache.bank import bank_descriptors_for_column
+from repro.core.designs import make_design
 from repro.errors import ConfigurationError
 from repro.faults import (
     BankFault,
+    DegradedCacheGeometry,
     FaultPlan,
     LinkFault,
     RetryPolicy,
@@ -123,6 +125,31 @@ class TestTruncateColumns:
         plan = FaultPlan(banks=(BankFault((0, 0)),))
         with pytest.raises(ConfigurationError):
             truncate_columns(topology, self._columns(3, 3), plan)
+
+
+class TestVerifyRoutesWork:
+    def test_design_a_decides_each_hop_once(self):
+        """The proof walks route trees, not one path per endpoint pair."""
+        base = make_design("A")
+        plan = FaultPlan.sample(base.topology, link_rate=1e-2, seed=1)
+        geometry = DegradedCacheGeometry(
+            base.topology, base.columns, plan, seed=1, verify=False
+        )
+        routing = geometry.routing
+        calls = {}
+        next_hop = routing.next_hop
+
+        def counted(topology, current, destination):
+            key = (current, destination)
+            calls[key] = calls.get(key, 0) + 1
+            return next_hop(topology, current, destination)
+
+        routing.next_hop = counted
+        report = geometry.verify_routes()
+        assert report["rerouted_pairs"] > 0
+        assert calls and max(calls.values()) == 1
+        nodes = base.topology.num_nodes
+        assert len(calls) <= nodes * (nodes - 1)
 
 
 class TestDeadlineQueue:

@@ -9,7 +9,7 @@ from repro.faults import (
     fallback_destination,
     verify_degraded,
 )
-from repro.noc.routing import routing_for
+from repro.noc.routing import XYRouting, routing_for
 from repro.noc.topology import MeshTopology, SimplifiedMeshTopology
 
 
@@ -98,6 +98,77 @@ class TestSimplifiedMesh:
         report = verify_degraded(topology, _degraded(topology))
         assert report["xyx_checked"] is True
         assert report["pairs_checked"] > 0
+
+
+class _Stub(DegradedRouting):
+    """A degraded routing whose hops come from *hop* (a proof-check foil)."""
+
+    def __init__(self, topology, hop, dead=()):
+        super().__init__(topology, XYRouting(), frozenset(dead))
+        self.hop = hop
+
+    def next_hop(self, topology, current, destination):
+        if current == destination:
+            return None
+        return self.hop(current, destination)
+
+
+class _FullSimplifiedMesh(SimplifiedMeshTopology):
+    """A simplified mesh that keeps every row's horizontal links, so a
+    route can turn from Y+ into X (which Fig. 5(b) forbids)."""
+
+    def _build_links(self):
+        MeshTopology._build_links(self)
+
+
+def _yx(current, destination):
+    """Y first, then X: takes Y+ -> X turns on the way down."""
+    (x, y), (dx, dy) = current, destination
+    if y != dy:
+        return (x, y + (1 if dy > y else -1))
+    return (x + (1 if dx > x else -1), y)
+
+
+class TestProofBranchesFail:
+    def test_cyclic_dependency_graph_raises(self):
+        topology = MeshTopology(2, 2)
+        ring = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        routing = _Stub(
+            topology, lambda cur, dst: ring[(ring.index(cur) + 1) % 4]
+        )
+        with pytest.raises(ValidationError, match="cyclic channel dependency"):
+            verify_degraded(topology, routing)
+
+    def test_y_plus_to_x_turn_violates_fig5b(self):
+        topology = _FullSimplifiedMesh(3, 3)
+        routing = _Stub(topology, _yx)
+        # YX is dimension-ordered, so its dependency graph is acyclic:
+        # only the channel enumeration can catch the Y+ -> X turn.
+        with pytest.raises(ValidationError, match="Fig. 5\\(b\\)"):
+            verify_degraded(topology, routing, pairs=[((0, 0), (2, 2))])
+
+    def test_route_through_dead_channel_raises(self):
+        topology = MeshTopology(3, 3)
+        dead = {((0, 1), (1, 1)), ((1, 1), (0, 1))}
+        xy = XYRouting()
+        routing = _Stub(
+            topology, lambda cur, dst: xy.next_hop(topology, cur, dst), dead
+        )
+        with pytest.raises(ValidationError, match="crosses dead channel"):
+            verify_degraded(topology, routing)
+
+    def test_routing_loop_raises_for_guaranteed_pairs(self):
+        topology = MeshTopology(3, 3)
+        routing = _Stub(
+            topology,
+            lambda cur, dst: (1, 0) if cur == (0, 0) else (0, 0),
+        )
+        with pytest.raises(ValidationError, match="routing loop"):
+            verify_degraded(topology, routing, pairs=[((0, 0), (2, 2))])
+        # Without guaranteed pairs a loop is declared degradation.
+        report = verify_degraded(topology, routing)
+        assert report["unroutable_pairs"] > 0
+        assert report["pairs_checked"] + report["unroutable_pairs"] == 9 * 8
 
 
 class TestAliveAndFallback:

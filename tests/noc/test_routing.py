@@ -15,7 +15,15 @@ from repro.noc import (
     channel_dependency_graph,
     xyx_channel_number,
 )
-from repro.noc.routing import SpikeRouting, is_deadlock_free, routing_for
+from repro.noc.routing import (
+    RouteComputer,
+    RouteForest,
+    SpikeRouting,
+    find_cycle,
+    is_deadlock_free,
+    route_forest,
+    routing_for,
+)
 from repro.noc.topology import HUB, spike_node
 
 coords = st.tuples(st.integers(0, 7), st.integers(0, 7))
@@ -152,8 +160,119 @@ class TestDeadlockFreedom:
     def test_cdg_has_edges(self):
         mesh = MeshTopology(3, 3)
         graph = channel_dependency_graph(mesh, XYRouting())
-        assert graph.number_of_nodes() == mesh.num_channels
-        assert graph.number_of_edges() > 0
+        assert len(graph) == mesh.num_channels
+        assert sum(len(successors) for successors in graph.values()) > 0
+
+    def test_clockwise_turn_cycle_deadlocks(self):
+        mesh = MeshTopology(2, 2)
+        assert not is_deadlock_free(mesh, _Clockwise())
+        cycle = find_cycle(channel_dependency_graph(mesh, _Clockwise()))
+        assert cycle is not None and cycle[0] == cycle[-1]
+        assert len(cycle) == 5  # the four ring channels, closed
+
+
+class _Clockwise(RouteComputer):
+    """Always turn the same way round a 2x2 mesh: a turn cycle."""
+
+    name = "clockwise"
+    RING = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+    def next_hop(self, topology, current, destination):
+        if current == destination:
+            return None
+        return self.RING[(self.RING.index(current) + 1) % 4]
+
+
+class _Scripted(RouteComputer):
+    """Next hops read from a ``{(current, destination): next}`` table."""
+
+    name = "scripted"
+
+    def __init__(self, table):
+        self.table = table
+
+    def next_hop(self, topology, current, destination):
+        if current == destination:
+            return None
+        return self.table.get((current, destination))
+
+
+class _Counting(XYRouting):
+    def __init__(self):
+        self.calls = {}
+
+    def next_hop(self, topology, current, destination):
+        key = (current, destination)
+        self.calls[key] = self.calls.get(key, 0) + 1
+        return super().next_hop(topology, current, destination)
+
+
+class TestRouteForest:
+    def test_paths_match_hop_by_hop_walks(self):
+        mesh = MeshTopology(4, 4)
+        forest = route_forest(mesh, XYXRouting())
+        nodes = sorted(mesh.nodes)
+        for s in nodes:
+            for d in nodes:
+                assert forest.path(s, d) == XYXRouting().path(mesh, s, d)
+
+    def test_each_hop_decided_once(self):
+        mesh = MeshTopology(4, 4)
+        routing = _Counting()
+        route_forest(mesh, routing)
+        assert max(routing.calls.values()) == 1
+        # Every non-destination node of every tree, nothing more.
+        assert len(routing.calls) == 16 * 15
+
+    def test_dependencies_are_consecutive_channel_pairs(self):
+        mesh = MeshTopology(3, 3)
+        nodes = sorted(mesh.nodes)
+        expected = set()
+        for s in nodes:
+            for d in nodes:
+                path = XYRouting().path(mesh, s, d)
+                expected.update(
+                    ((a, b), (b, c)) for a, b, c in zip(path, path[1:], path[2:])
+                )
+        forest = route_forest(mesh, XYRouting())
+        assert {(h, r) for h, r, _ in forest.dependencies()} == expected
+
+    def test_stall_fails_every_walked_node(self):
+        mesh = MeshTopology(3, 1)
+        routing = _Scripted({((0, 0), (2, 0)): (1, 0)})
+        forest = RouteForest(mesh, routing)
+        assert "stalled at (1, 0)" in forest.walk((0, 0), (2, 0))
+        assert forest.failures[(2, 0)].keys() == {(0, 0), (1, 0)}
+        assert (0, 0) not in forest.trees[(2, 0)]
+
+    def test_missing_channel_fails(self):
+        mesh = MeshTopology(3, 1)
+        routing = _Scripted({((0, 0), (2, 0)): (2, 0)})
+        assert "missing channel" in RouteForest(mesh, routing).walk(
+            (0, 0), (2, 0)
+        )
+
+    def test_loop_fails_like_path(self):
+        mesh = MeshTopology(3, 1)
+        table = {((0, 0), (2, 0)): (1, 0), ((1, 0), (2, 0)): (0, 0)}
+        routing = _Scripted(table)
+        assert "routing loop" in RouteForest(mesh, routing).walk((0, 0), (2, 0))
+        with pytest.raises(RoutingError):
+            routing.path(mesh, (0, 0), (2, 0))
+        with pytest.raises(RoutingError, match="routing loop"):
+            route_forest(mesh, routing, [((0, 0), (2, 0))])
+
+    def test_later_walk_inherits_a_known_failure(self):
+        mesh = MeshTopology(3, 1)
+        table = {((0, 0), (2, 0)): (1, 0)}  # (1, 0) stalls
+        forest = RouteForest(mesh, _Scripted(table))
+        first = forest.walk((1, 0), (2, 0))
+        assert forest.walk((0, 0), (2, 0)) == first
+
+    def test_find_cycle_on_acyclic_and_cyclic_graphs(self):
+        assert find_cycle({"a": {"b": None}, "b": {}}) is None
+        graph = {"a": {"b": None}, "b": {"c": None}, "c": {"b": None}}
+        assert find_cycle(graph) == ["b", "c", "b"]
 
 
 class TestRoutingFor:
