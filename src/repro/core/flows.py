@@ -15,6 +15,11 @@ design's :class:`~repro.core.geometry.CacheGeometry`:
 * **miss handling** goes through the off-chip memory model, fills the MRU
   bank, and cut-through-forwards the block to the core.
 
+Every leg and bank comes from the column's compiled
+:class:`~repro.core.geometry.ColumnLegs` table, and the loops (unicast
+walk, multicast tag match, replacement chains) grant uncontended banks
+inline, the same way ``CacheGeometry.traverse_leg`` grants channels.
+
 Consistency rule: while an access's block movements are in flight, the bank
 set's tags are unstable, so a subsequent access to the *same set* stalls
 until the earlier one settles. This per-set serialization is precisely the
@@ -33,8 +38,9 @@ from repro.cache.bankset import AccessOutcome
 from repro.cache.memory import MemoryModel
 from repro.cache.replacement import ReplacementPolicy
 from repro.config import packet_flits
-from repro.core.geometry import CacheGeometry
+from repro.core.geometry import CacheGeometry, ColumnLegs
 from repro.errors import ProtocolError
+from repro.sim.resource import PRUNE_CAP
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import (
     CHAIN_DEPTH_EDGES,
@@ -157,6 +163,8 @@ class TransactionEngine:
         #: Core node the current access belongs to (CMP support); None
         #: means the geometry's default single core.
         self._core = None
+        #: Leg table of the current access's (column, core).
+        self._legs: ColumnLegs | None = None
         #: Transaction validators (see repro.validation.invariants): each
         #: sees ``on_transaction(column, outcome, timing)`` after every
         #: executed access. Empty in normal runs.
@@ -194,6 +202,7 @@ class TransactionEngine:
         self.geometry.floor_clock.advance(issue_time)
         self._spine_bank_cycles = 0
         self._core = core_node
+        self._legs = self.geometry.column_legs(column, core_node)
         self._sink = sink = _trace.current_sink()
         slots = self._column_slots[column]
         slot = min(range(len(slots)), key=slots.__getitem__)
@@ -261,6 +270,7 @@ class TransactionEngine:
         self.geometry.floor_clock.advance(issue_time)
         self._spine_bank_cycles = 0
         self._core = core_node
+        self._legs = self.geometry.column_legs(column, core_node)
         self._sink = sink = _trace.current_sink()
         slots = self._column_slots[column]
         slot = min(range(len(slots)), key=slots.__getitem__)
@@ -334,24 +344,21 @@ class TransactionEngine:
 
     # -- bank helpers ---------------------------------------------------------
 
-    def _bank_latency(self, column: int, position: int, replace: bool) -> int:
-        timing = self.geometry.bank(column, position).timing
-        return timing.tag_replace_latency if replace else timing.tag_latency
-
     def _bank_acquire(
-        self, column: int, position: int, time: int, replace: bool,
-        charge: bool = True,
-    ) -> tuple[int, int]:
-        """Reserve the bank; returns (done, latency_charged).
+        self, position: int, time: int, replace: bool, charge: bool = True
+    ) -> int:
+        """Reserve bank *position* of the current column; returns when it is
+        done.
 
         *charge* adds the latency to the access's spine bank-cycle count
         (set False for tag matches running in parallel off the spine).
         """
-        latency = self._bank_latency(column, position, replace)
-        start = self.geometry.bank_resource(column, position).acquire(time, latency)
+        legs = self._legs
+        latency = (legs.replace_latency if replace else legs.tag_latency)[position]
+        start = legs.banks[position].acquire(time, latency)
         if charge:
             self._spine_bank_cycles += latency
-        return start + latency, latency
+        return start + latency
 
     @staticmethod
     def _head(tail_arrival: int, flits: int) -> int:
@@ -363,36 +370,51 @@ class TransactionEngine:
     def _unicast_access(
         self, column: int, outcome: AccessOutcome, t0: int, is_write: bool
     ) -> AccessTiming:
-        banks = self.geometry.banks_per_column(column)
+        legs = self._legs
+        traverse = self.geometry.traverse_leg
+        banks = legs.banks
+        last = len(banks) - 1
         hit_pos = outcome.bank if outcome.hit else None
         fast = self.scheme.is_fast
+        tag_latency = legs.tag_latency
+        walk_latency = legs.replace_latency if fast else tag_latency
 
         # Sequential tag-match walk down the column (Fig. 2). With Fast-LRU
         # the evicted block rides as the wormhole body behind the request
         # head, so each next tag match is gated by the head flit only while
         # the bank stays busy for the tag+replacement time.
         bank_cycles = 0
-        arrival = self.geometry.core_to_bank(column, 0, t0, CONTROL, core=self._core)
+        arrival = traverse(legs.entry, t0, CONTROL)
         position = 0
         tail_gap = 0  # how far the block body trails the head at this bank
         while True:
-            is_hit_bank = hit_pos is not None and position == hit_pos
-            replace = fast and not is_hit_bank
-            done, charged = self._bank_acquire(column, position, arrival, replace)
-            bank_cycles += charged
-            if is_hit_bank or position == banks - 1:
+            is_hit_bank = position == hit_pos
+            latency = (tag_latency if is_hit_bank else walk_latency)[position]
+            resource = banks[position]
+            if resource.horizon <= arrival:
+                # Uncontended grant, inlined (repro.sim.resource).
+                done = arrival + latency
+                resource.starts.append(arrival)
+                ends = resource.ends
+                ends.append(done)
+                resource.horizon = done
+                resource.busy_cycles += latency
+                resource.grants += 1
+                if len(ends) > PRUNE_CAP:
+                    resource.prune()
+            else:
+                done = resource.acquire(arrival, latency) + latency
+            bank_cycles += latency
+            if is_hit_bank or position == last:
                 break
             if fast:
-                tail = self.geometry.bank_to_bank(
-                    column, position, position + 1, done, DATA
-                )
-                arrival = self._head(tail, DATA)
+                tail = traverse(legs.down[position], done, DATA)
+                arrival = tail - (DATA - 1)
                 tail_gap = DATA - 1
             else:
-                arrival = self.geometry.bank_to_bank(
-                    column, position, position + 1, done, CONTROL
-                )
+                arrival = traverse(legs.down[position], done, CONTROL)
             position += 1
+        self._spine_bank_cycles += bank_cycles
 
         if hit_pos is not None:
             timing = self._finish_hit(
@@ -401,9 +423,7 @@ class TransactionEngine:
             if fast and hit_pos > 0:
                 # The hit bank still absorbs the incoming evicted block
                 # (its frame was freed by the departing hit block).
-                absorb, _ = self._bank_acquire(
-                    column, hit_pos, done + tail_gap, replace=True
-                )
+                absorb = self._bank_acquire(hit_pos, done + tail_gap, replace=True)
                 timing.settled = max(timing.settled, absorb)
                 timing.completion = max(timing.completion, absorb)
             return timing
@@ -411,7 +431,7 @@ class TransactionEngine:
             column,
             outcome,
             miss_decided=done + tail_gap,
-            miss_source_pos=banks - 1,
+            miss_source_pos=last,
             bank_cycles=bank_cycles,
             is_write=is_write,
             chain_already_ran=fast,
@@ -423,31 +443,43 @@ class TransactionEngine:
     def _multicast_access(
         self, column: int, outcome: AccessOutcome, t0: int, is_write: bool
     ) -> AccessTiming:
-        banks = self.geometry.banks_per_column(column)
+        legs = self._legs
+        banks = legs.banks
+        count = len(banks)
         hit_pos = outcome.bank if outcome.hit else None
         fast = self.scheme.is_fast
 
         arrivals = self.geometry.multicast_column(column, t0, core=self._core)
         # All banks tag-match concurrently; the MRU bank of a Fast-LRU flow
         # additionally reads out its victim right after miss detection.
+        latencies = (
+            legs.mru_evict_latency if fast and hit_pos != 0 else legs.tag_latency
+        )
         done: list[int] = []
-        for position in range(banks):
-            is_hit_bank = hit_pos is not None and position == hit_pos
-            evicts_now = fast and position == 0 and not is_hit_bank
-            finish, _ = self._bank_acquire(
-                column, position, arrivals[position], replace=evicts_now,
-                charge=False,
-            )
+        for resource, arrival, latency in zip(banks, arrivals, latencies):
+            if resource.horizon <= arrival:
+                # Uncontended grant, inlined (repro.sim.resource).
+                finish = arrival + latency
+                resource.starts.append(arrival)
+                ends = resource.ends
+                ends.append(finish)
+                resource.horizon = finish
+                resource.busy_cycles += latency
+                resource.grants += 1
+                if len(ends) > PRUNE_CAP:
+                    resource.prune()
+            else:
+                finish = resource.acquire(arrival, latency) + latency
             done.append(finish)
         if self._sink.enabled:
             self._sink.complete(
                 "multicast", "cache.txn", t0, max(done) - t0,
                 tid=f"column-{column}",
-                args={"banks": banks, "first_arrival": arrivals[0]},
+                args={"banks": count, "first_arrival": arrivals[0]},
             )
 
         if hit_pos is not None:
-            hit_bank_latency = self._bank_latency(column, hit_pos, replace=False)
+            hit_bank_latency = legs.tag_latency[hit_pos]
             self._spine_bank_cycles += hit_bank_latency
             timing = self._finish_hit(
                 column,
@@ -469,13 +501,13 @@ class TransactionEngine:
         # the per-bank notifications as combined in-column into one control
         # packet from the LRU bank (the others are subsumed by it and would
         # otherwise only add artificial reply-channel pressure).
-        miss_decided, _ = self.geometry.bank_to_core(
-            column, banks - 1, max(done), CONTROL, core=self._core
+        miss_decided = self.geometry.traverse_leg(
+            legs.to_core[count - 1], max(done), CONTROL
         )
         fast_chain_done = None
         if fast:
-            fast_chain_done = self._fast_chain(column, done, stop=banks - 1)
-        last_bank_latency = self._bank_latency(column, banks - 1, replace=False)
+            fast_chain_done = self._fast_chain(column, done, stop=count - 1)
+        last_bank_latency = legs.tag_latency[count - 1]
         self._spine_bank_cycles += last_bank_latency
         return self._finish_miss(
             column,
@@ -499,29 +531,23 @@ class TransactionEngine:
         is_write: bool,
         multicast: bool,
     ) -> AccessTiming:
+        legs = self._legs
+        traverse = self.geometry.traverse_leg
         policy = self.scheme.policy.name
         reply_flits = CONTROL if is_write else DATA
 
         if policy == "promotion":
-            data_at_core, _ = self.geometry.bank_to_core(
-                column, hit_pos, hit_done, reply_flits, core=self._core
-            )
+            data_at_core = traverse(legs.to_core[hit_pos], hit_done, reply_flits)
             settled = hit_done
             completion = data_at_core
             if hit_pos > 0:
                 # Swap with the next-closer bank: two one-hop block moves.
-                up = self.geometry.bank_to_bank(
-                    column, hit_pos, hit_pos - 1, hit_done, DATA
-                )
-                w_up, _ = self._bank_acquire(column, hit_pos - 1, up, replace=True)
-                down = self.geometry.bank_to_bank(
-                    column, hit_pos - 1, hit_pos, w_up, DATA
-                )
-                w_down, _ = self._bank_acquire(column, hit_pos, down, replace=True)
+                up = traverse(legs.up[hit_pos - 1], hit_done, DATA)
+                w_up = self._bank_acquire(hit_pos - 1, up, replace=True)
+                down = traverse(legs.down[hit_pos - 1], w_up, DATA)
+                w_down = self._bank_acquire(hit_pos, down, replace=True)
                 settled = w_down
-                notify, _ = self.geometry.bank_to_core(
-                    column, hit_pos, w_down, CONTROL, core=self._core
-                )
+                notify = traverse(legs.to_core[hit_pos], w_down, CONTROL)
                 completion = max(completion, notify)
             return AccessTiming(
                 issued=0,
@@ -535,18 +561,19 @@ class TransactionEngine:
 
         # LRU / Fast-LRU: the hit block is forwarded toward the core and
         # dropped off at the MRU frame on the way.
-        data_at_core, waypoints = self.geometry.bank_to_core(
-            column, hit_pos, hit_done, reply_flits, record_waypoints=True,
-            core=self._core,
+        waypoints: dict = {}
+        data_at_core = traverse(
+            legs.to_core[hit_pos], hit_done, reply_flits, waypoints
         )
         settled = hit_done
         completion = data_at_core
         if hit_pos > 0:
-            mru_node = self.geometry.bank_node(column, 0)
             # Waypoints carry head arrivals; the write needs the tail.
-            mru_arrival = waypoints.get(mru_node, self._head(data_at_core, reply_flits))
-            mru_write, _ = self._bank_acquire(
-                column, 0, mru_arrival + (DATA - 1), replace=True
+            mru_arrival = waypoints.get(
+                legs.mru_node, self._head(data_at_core, reply_flits)
+            )
+            mru_write = self._bank_acquire(
+                0, mru_arrival + (DATA - 1), replace=True
             )
             settled = mru_write
             completion = max(completion, mru_write)
@@ -554,12 +581,10 @@ class TransactionEngine:
                 # Classic LRU: sequential shift-down chain after the hit
                 # block lands in the MRU bank (Fig. 2(a) moves (7)-(9)).
                 chain_done = self._shift_chain(
-                    column, start=mru_write, first=0, last=hit_pos
+                    column, start=mru_write, last=hit_pos
                 )
                 settled = chain_done
-                notify, _ = self.geometry.bank_to_core(
-                    column, hit_pos, chain_done, CONTROL, core=self._core
-                )
+                notify = traverse(legs.to_core[hit_pos], chain_done, CONTROL)
                 completion = max(completion, notify)
         return AccessTiming(
             issued=0,
@@ -582,24 +607,25 @@ class TransactionEngine:
         chain_already_ran: bool,
         fast_chain_done: int | None = None,
     ) -> AccessTiming:
-        banks = self.geometry.banks_per_column(column)
+        legs = self._legs
+        traverse = self.geometry.traverse_leg
+        pin_delay = self.geometry.memory_pin_delay
+        last = len(legs.banks) - 1
 
         # Memory request: from the last bank (unicast) or the core (multicast).
-        if miss_source_pos is None:
-            mem_request = self.geometry.core_to_memory(
-                miss_decided, CONTROL, core=self._core
-            )
-        else:
-            mem_request = self.geometry.bank_to_memory(
-                column, miss_source_pos, miss_decided, CONTROL
-            )
+        request_leg = (
+            legs.memory_request
+            if miss_source_pos is None
+            else legs.to_memory[miss_source_pos]
+        )
+        mem_request = traverse(request_leg, miss_decided, CONTROL) + pin_delay
         _, data_ready = self.memory.read(mem_request)
         memory_cycles = data_ready - mem_request
 
         # Fill the MRU bank; the MRU router cut-through-forwards the block
         # to the core as its flits stream in.
-        fill_tail = self.geometry.memory_to_bank(column, 0, data_ready, DATA)
-        fill_write, _ = self._bank_acquire(column, 0, fill_tail, replace=True)
+        fill_tail = traverse(legs.fill, data_ready + pin_delay, DATA)
+        fill_write = self._bank_acquire(0, fill_tail, replace=True)
         if self._sink.enabled:
             self._sink.complete(
                 "memory", "cache.txn", mem_request, memory_cycles,
@@ -610,9 +636,7 @@ class TransactionEngine:
                 fill_write - self._head(fill_tail, DATA),
                 tid=f"column-{column}",
             )
-        data_at_core, _ = self.geometry.bank_to_core(
-            column, 0, self._head(fill_tail, DATA), DATA, core=self._core
-        )
+        data_at_core = traverse(legs.to_core[0], self._head(fill_tail, DATA), DATA)
         settled = fill_write
         completion = max(data_at_core, fill_write)
 
@@ -620,7 +644,7 @@ class TransactionEngine:
             # Fast-LRU: every bank already shifted its block during the tag
             # phase; the MRU frame was empty awaiting this fill.
             chain_done = fast_chain_done if fast_chain_done is not None else fill_write
-            chain_end = banks - 1
+            chain_end = last
         else:
             # The fill displaces the MRU block and the stack demotes:
             # the whole column for recursive replacement (LRU and this
@@ -630,12 +654,10 @@ class TransactionEngine:
             if miss_policy == "zero_copy":
                 chain_end = 0
             elif miss_policy == "one_copy":
-                chain_end = min(1, banks - 1)
+                chain_end = min(1, last)
             else:
-                chain_end = banks - 1
-            chain_done = self._shift_chain(
-                column, start=fill_write, first=0, last=chain_end
-            )
+                chain_end = last
+            chain_done = self._shift_chain(column, start=fill_write, last=chain_end)
         settled = max(settled, chain_done)
         completion = max(completion, chain_done)
 
@@ -644,18 +666,12 @@ class TransactionEngine:
         # transaction the core observes).
         if outcome.writeback_required:
             victim_bank = (
-                outcome.victim_bank
-                if outcome.victim_bank is not None
-                else banks - 1
+                outcome.victim_bank if outcome.victim_bank is not None else last
             )
-            wb_arrival = self.geometry.bank_to_memory(
-                column, victim_bank, chain_done, DATA
-            )
-            self.memory.writeback(wb_arrival)
+            wb_arrival = traverse(legs.to_memory[victim_bank], chain_done, DATA)
+            self.memory.writeback(wb_arrival + pin_delay)
 
-        notify, _ = self.geometry.bank_to_core(
-            column, chain_end, chain_done, CONTROL, core=self._core
-        )
+        notify = traverse(legs.to_core[chain_end], chain_done, CONTROL)
         completion = max(completion, notify)
         return AccessTiming(
             issued=0,
@@ -670,29 +686,20 @@ class TransactionEngine:
 
     # -- replacement chains --------------------------------------------------------
 
-    def _shift_chain(self, column: int, start: int, first: int, last: int) -> int:
+    def _shift_chain(self, column: int, start: int, last: int) -> int:
         """Sequential demotion chain: bank i's block moves to bank i+1 for
-        ``i = first..last-1`` (classic LRU shifts / Promotion's recursive
+        ``i = 0..last-1`` (classic LRU shifts / Promotion's recursive
         replacement after a fill). Each link is gated by the head flit of
         the incoming block (cut-through: the tail streams into the frame
         while the next link's victim already departs)."""
-        self._chain_depths.record(max(0, last - first))
-        current = start
-        for position in range(first, last):
-            tail = self.geometry.bank_to_bank(
-                column, position, position + 1, current, DATA
-            )
-            current, _ = self._bank_acquire(
-                column, position + 1, self._head(tail, DATA), replace=True
-            )
-        if last <= first:
-            return current
-        # The last block's tail must fully land before the set settles.
-        current += DATA - 1
+        self._chain_depths.record(max(0, last))
+        if last <= 0:
+            return start
+        current = self._demote(start, last, None)
         if self._sink.enabled:
             self._sink.complete(
                 "chain", "cache.txn", start, current - start,
-                tid=f"column-{column}", args={"links": last - first},
+                tid=f"column-{column}", args={"links": last},
             )
         return current
 
@@ -706,20 +713,47 @@ class TransactionEngine:
             self._chain_depths.record(0)
             return done[0]
         self._chain_depths.record(stop)
-        current = done[0]
-        for position in range(1, stop + 1):
-            tail = self.geometry.bank_to_bank(
-                column, position - 1, position, current, DATA
-            )
-            ready = max(self._head(tail, DATA), done[position])
-            current, _ = self._bank_acquire(column, position, ready, replace=True)
-        current += DATA - 1
+        current = self._demote(done[0], stop, done)
         if self._sink.enabled:
             self._sink.complete(
                 "fast_chain", "cache.txn", done[0], current - done[0],
                 tid=f"column-{column}", args={"links": stop},
             )
         return current
+
+    def _demote(self, start: int, last: int, ready: list[int] | None) -> int:
+        """Move bank p's block into bank p+1 for ``p = 0..last-1``, starting
+        at *start*; bank p+1 also waits for ``ready[p+1]`` when given.
+        Returns when the last block's tail has landed."""
+        legs = self._legs
+        traverse = self.geometry.traverse_leg
+        banks = legs.banks
+        down = legs.down
+        latencies = legs.replace_latency
+        current = start
+        charged = 0
+        for position in range(1, last + 1):
+            arrival = traverse(down[position - 1], current, DATA) - (DATA - 1)
+            if ready is not None and ready[position] > arrival:
+                arrival = ready[position]
+            resource = banks[position]
+            latency = latencies[position]
+            if resource.horizon <= arrival:
+                # Uncontended grant, inlined (repro.sim.resource).
+                current = arrival + latency
+                resource.starts.append(arrival)
+                ends = resource.ends
+                ends.append(current)
+                resource.horizon = current
+                resource.busy_cycles += latency
+                resource.grants += 1
+                if len(ends) > PRUNE_CAP:
+                    resource.prune()
+            else:
+                current = resource.acquire(arrival, latency) + latency
+            charged += latency
+        self._spine_bank_cycles += charged
+        return current + (DATA - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TransactionEngine(scheme={self.scheme.name})"

@@ -8,6 +8,14 @@ gives each spike a small issue queue). Traversals reserve each channel on
 the path for the packet's flit count, so concurrent transactions contend
 exactly where the paper says they do: the row the core sits on, the bank
 columns, and the memory channel.
+
+Routes are compiled, not walked: each (src, dst) pair is a :class:`Leg`
+whose hops (channel resource, uncontended cost, node) are resolved on its
+first traversal, and each (column, core) pair has a :class:`ColumnLegs`
+table of the column's bank resources, bank latencies and every leg the
+Fig. 2/3 flows take. :meth:`CacheGeometry.traverse_leg` is the single
+per-segment entry point; it grants uncontended channels inline (see
+:mod:`repro.sim.resource`).
 """
 
 from __future__ import annotations
@@ -19,7 +27,71 @@ from repro.config import RouterConfig, packet_flits
 from repro.errors import ConfigurationError
 from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import HaloTopology, NodeId, Topology, spike_node
-from repro.sim.resource import FloorClock, OccupancyTracker, Resource
+from repro.sim.resource import PRUNE_CAP, FloorClock, OccupancyTracker, Resource
+
+
+class Leg:
+    """One routed segment from *src* to *dst*.
+
+    ``hops`` holds one (channel resource, router+wire cost, hop node)
+    triple per hop and ``cost`` their total cost. Both are filled by the
+    geometry on the leg's first traversal, so a route is computed only
+    for pairs a run actually uses; ``hops`` is empty when src == dst.
+    """
+
+    __slots__ = ("src", "dst", "hops", "cost")
+
+    def __init__(self, src: NodeId, dst: NodeId) -> None:
+        self.src = src
+        self.dst = dst
+        self.hops: tuple[tuple[Resource, int, NodeId], ...] | None = None
+        self.cost = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Leg({self.src}->{self.dst})"
+
+
+class ColumnLegs:
+    """Everything the flows need about one column, seen from one core.
+
+    Indexed by bank position: ``down[p]`` is bank p -> p+1, ``up[p]`` is
+    bank p+1 -> p, and ``chain`` is the multicast replication chain
+    (core -> bank 0, then every ``down`` leg).
+    """
+
+    __slots__ = (
+        "banks", "tag_latency", "replace_latency", "mru_evict_latency",
+        "mru_node", "entry", "down", "up", "to_core", "to_memory", "fill",
+        "memory_request", "chain", "chain_cost",
+    )
+
+    def __init__(
+        self, geometry: CacheGeometry, column: int, core: NodeId
+    ) -> None:
+        count = geometry.banks_per_column(column)
+        nodes = [geometry.bank_node(column, p) for p in range(count)]
+        timings = [geometry.bank(column, p).timing for p in range(count)]
+        self.banks = tuple(geometry.bank_resource(column, p) for p in range(count))
+        self.tag_latency = tuple(t.tag_latency for t in timings)
+        self.replace_latency = tuple(t.tag_replace_latency for t in timings)
+        if min(self.tag_latency + self.replace_latency) < 1:
+            raise ConfigurationError(f"column {column} has a zero-latency bank")
+        #: Tag latencies with the MRU bank also reading out its victim (the
+        #: multicast Fast-LRU tag phase).
+        self.mru_evict_latency = self.replace_latency[:1] + self.tag_latency[1:]
+        self.mru_node = nodes[0]
+        leg = geometry.leg
+        memory = geometry.memory_node
+        self.entry = leg(core, nodes[0])
+        self.down = tuple(leg(a, b) for a, b in itertools.pairwise(nodes))
+        self.up = tuple(leg(b, a) for a, b in itertools.pairwise(nodes))
+        self.to_core = tuple(leg(n, core) for n in nodes)
+        self.to_memory = tuple(leg(n, memory) for n in nodes)
+        self.fill = leg(memory, nodes[0])
+        self.memory_request = leg(core, memory)
+        self.chain = (self.entry,) + self.down
+        #: Uncontended cost of the whole chain, set on its first delivery.
+        self.chain_cost: int | None = None
 
 
 class CacheGeometry:
@@ -49,23 +121,17 @@ class CacheGeometry:
         self.floor_clock = FloorClock()
         self._channel_resources: dict[tuple[NodeId, NodeId], Resource] = {}
         self._bank_resources: dict[tuple[int, int], Resource] = {}
-        #: (src, dst) -> tuple of (channel resource, hop cost, hop node):
-        #: routes are a pure function of the topology, so each pair's path,
-        #: per-hop costs, and channel resources are resolved exactly once.
-        self._plans: dict[
-            tuple[NodeId, NodeId], tuple[tuple[Resource, int, NodeId], ...]
-        ] = {}
+        #: (src, dst) -> Leg: routes are a pure function of the topology,
+        #: so each pair's path, hop costs and channels are resolved once.
+        self._legs: dict[tuple[NodeId, NodeId], Leg] = {}
+        #: (column, core or None) -> the column's compiled leg table.
+        self._column_legs: dict[tuple[int, NodeId | None], ColumnLegs] = {}
         self._spike_queues: dict[int, OccupancyTracker] | None = None
         if self.is_halo:
             self._spike_queues = {
                 s: OccupancyTracker(spike_queue_entries, name=f"spike-queue-{s}")
                 for s in range(len(columns))
             }
-        #: Uncontended path cost per (src, dst), filled lazily with _plans.
-        self._plan_costs: dict[tuple[NodeId, NodeId], int] = {}
-        #: Per-(column, entry node) total uncontended cost of the multicast
-        #: replication chain, resolved once.
-        self._multicast_costs: dict[tuple[int, NodeId], int] = {}
         #: Cycles multicast deliveries lost to channel contention -- the
         #: transaction-level analogue of replica-blocked router cycles.
         self.multicast_blocked_cycles = 0
@@ -217,21 +283,93 @@ class CacheGeometry:
         channel = self.topology.channel(src, dst)
         return self.router_config.hop_latency + channel.wire_delay
 
-    def _plan(self, src: NodeId, dst: NodeId) -> tuple[tuple[Resource, int, NodeId], ...]:
-        """Resolved traversal plan for (src, dst): one (channel resource,
-        hop cost, hop node) triple per hop, computed once per geometry."""
-        plan = tuple(
-            (
-                self.channel_resource(hop_src, hop_dst),
-                self.hop_cost(hop_src, hop_dst),
-                hop_dst,
+    def leg(self, src: NodeId, dst: NodeId) -> Leg:
+        """The (shared) leg from *src* to *dst*."""
+        leg = self._legs.get((src, dst))
+        if leg is None:
+            leg = self._legs[(src, dst)] = Leg(src, dst)
+        return leg
+
+    def column_legs(self, column: int, core: NodeId | None = None) -> ColumnLegs:
+        """The leg table of *column* as seen from *core* (default core)."""
+        table = self._column_legs.get((column, core))
+        if table is None:
+            table = ColumnLegs(
+                self, column, core if core is not None else self.core_node
             )
-            for hop_src, hop_dst in itertools.pairwise(
-                self.routing.path(self.topology, src, dst)
+            self._column_legs[(column, core)] = table
+        return table
+
+    def _compile(self, leg: Leg) -> tuple[tuple[Resource, int, NodeId], ...]:
+        """Resolve *leg*'s route into hops (once per geometry)."""
+        if leg.src == leg.dst:
+            hops: tuple[tuple[Resource, int, NodeId], ...] = ()
+        else:
+            hops = tuple(
+                (
+                    self.channel_resource(hop_src, hop_dst),
+                    self.hop_cost(hop_src, hop_dst),
+                    hop_dst,
+                )
+                for hop_src, hop_dst in itertools.pairwise(
+                    self.routing.path(self.topology, leg.src, leg.dst)
+                )
             )
-        )
-        self._plans[(src, dst)] = plan
-        return plan
+        leg.hops = hops
+        leg.cost = sum(cost for _, cost, _ in hops)
+        return hops
+
+    def traverse_leg(
+        self,
+        leg: Leg,
+        time: int,
+        flits: int,
+        waypoints: dict[NodeId, int] | None = None,
+    ) -> int:
+        """Move a *flits*-flit packet along *leg* starting at *time*.
+
+        Each channel on the route is reserved FCFS for *flits* cycles
+        (wormhole serialization). Returns when the complete packet is
+        available at the leg's end; a leg to the same node is free. When
+        *waypoints* is given it receives the head-flit arrival time at
+        every intermediate node.
+
+        This is the one per-segment entry point: every flow reaches the
+        channels through it, so subclasses may wrap it.
+        """
+        hops = leg.hops
+        if hops is None:
+            hops = self._compile(leg)
+        if not hops:
+            return time
+        head = time
+        queued = 0
+        for resource, cost, node in hops:
+            if resource.horizon <= head:
+                # Uncontended grant, inlined (repro.sim.resource).
+                end = head + flits
+                resource.starts.append(head)
+                ends = resource.ends
+                ends.append(end)
+                resource.horizon = end
+                resource.busy_cycles += flits
+                resource.grants += 1
+                if len(ends) > PRUNE_CAP:
+                    resource.prune()
+                head += cost
+            else:
+                granted = resource.acquire(head, flits)
+                queued += granted - head
+                head = granted + cost
+            if waypoints is not None:
+                waypoints[node] = head
+        if waypoints is not None:
+            del waypoints[leg.dst]
+        if queued:
+            self.traversal_queue_cycles += queued
+        self.traversal_hop_cycles += leg.cost
+        self.serialization_cycles += flits - 1
+        return head + (flits - 1)
 
     def traverse(
         self,
@@ -241,45 +379,18 @@ class CacheGeometry:
         flits: int,
         record_waypoints: bool = False,
     ) -> tuple[int, dict[NodeId, int]]:
-        """Move a *flits*-flit packet from *src* to *dst* starting at *time*.
+        """Move a packet from *src* to *dst*: :meth:`traverse_leg` by nodes.
 
-        Each channel on the routed path is reserved FCFS for *flits* cycles
-        (wormhole serialization). Returns ``(arrival, waypoints)`` where
-        *arrival* is when the complete packet is available at *dst* and
-        *waypoints* maps intermediate nodes to head-flit arrival times
-        (only filled when *record_waypoints*).
+        Returns ``(arrival, waypoints)``; *waypoints* maps intermediate
+        nodes to head-flit arrival times (only filled when
+        *record_waypoints*).
         """
-        if src == dst:
-            return time, {}
-        plan = self._plans.get((src, dst))
-        if plan is None:
-            plan = self._plan(src, dst)
-        head = time
-        queued = 0
-        hop_cycles = 0
-        if record_waypoints:
-            waypoints: dict[NodeId, int] = {}
-            last = len(plan) - 1
-            for i, (resource, cost, node) in enumerate(plan):
-                granted = resource.acquire(head, flits)
-                queued += granted - head
-                hop_cycles += cost
-                head = granted + cost
-                if i < last:
-                    waypoints[node] = head
-            self.traversal_queue_cycles += queued
-            self.traversal_hop_cycles += hop_cycles
-            self.serialization_cycles += flits - 1
-            return head + (flits - 1), waypoints
-        for resource, cost, _ in plan:
-            granted = resource.acquire(head, flits)
-            queued += granted - head
-            hop_cycles += cost
-            head = granted + cost
-        self.traversal_queue_cycles += queued
-        self.traversal_hop_cycles += hop_cycles
-        self.serialization_cycles += flits - 1
-        return head + (flits - 1), {}
+        waypoints: dict[NodeId, int] = {}
+        arrival = self.traverse_leg(
+            self.leg(src, dst), time, flits,
+            waypoints if record_waypoints else None,
+        )
+        return arrival, waypoints
 
     def multicast_column(
         self, column: int, time: int, core: NodeId | None = None
@@ -292,49 +403,23 @@ class CacheGeometry:
         arrival time at each bank position.
         """
         flits = packet_flits(carries_block=False)
+        table = self.column_legs(column, core)
+        traverse_leg = self.traverse_leg
         arrivals: list[int] = []
         head = time
-        src = core if core is not None else self.core_node
-        chain_cost = self._multicast_costs.get((column, src))
+        for leg in table.chain:
+            head = traverse_leg(leg, head, flits)
+            arrivals.append(head)
+        chain_cost = table.chain_cost
         if chain_cost is None:
-            chain_cost = self._multicast_chain_cost(column, src, flits)
-        for position in range(self.banks_per_column(column)):
-            dst = self.bank_node(column, position)
-            arrival, _ = self.traverse(src, dst, head, flits)
-            arrivals.append(arrival)
-            head = arrival
-            src = dst
+            chain_cost = table.chain_cost = sum(
+                leg.cost + (flits - 1) for leg in table.chain if leg.hops
+            )
         # A grant never starts before its request, so each segment's actual
         # arrival >= its uncontended arrival; the chain's total slip is the
         # final arrival minus the zero-contention chain cost.
         self.multicast_blocked_cycles += head - time - chain_cost
         return arrivals
-
-    def _multicast_chain_cost(
-        self, column: int, src: NodeId, flits: int
-    ) -> int:
-        """Total uncontended cost of the column's replication chain."""
-        entry = src
-        total = 0
-        for position in range(self.banks_per_column(column)):
-            dst = self.bank_node(column, position)
-            total += self._uncontended_cost(src, dst, flits)
-            src = dst
-        self._multicast_costs[(column, entry)] = total
-        return total
-
-    def _uncontended_cost(self, src: NodeId, dst: NodeId, flits: int) -> int:
-        """Zero-contention traversal cost of (src, dst) for *flits* flits."""
-        if src == dst:
-            return 0
-        cost = self._plan_costs.get((src, dst))
-        if cost is None:
-            plan = self._plans.get((src, dst))
-            if plan is None:
-                plan = self._plan(src, dst)
-            cost = sum(hop_cost for _, hop_cost, _ in plan)
-            self._plan_costs[(src, dst)] = cost
-        return cost + (flits - 1)
 
     # -- common endpoints -----------------------------------------------------
 
@@ -347,21 +432,9 @@ class CacheGeometry:
         core: NodeId | None = None,
     ) -> int:
         src = core if core is not None else self.core_node
-        arrival, _ = self.traverse(
-            src, self.bank_node(column, position), time, flits
+        return self.traverse_leg(
+            self.leg(src, self.bank_node(column, position)), time, flits
         )
-        return arrival
-
-    def bank_to_bank(
-        self, column: int, src_pos: int, dst_pos: int, time: int, flits: int
-    ) -> int:
-        arrival, _ = self.traverse(
-            self.bank_node(column, src_pos),
-            self.bank_node(column, dst_pos),
-            time,
-            flits,
-        )
-        return arrival
 
     def bank_to_core(
         self,
@@ -385,27 +458,20 @@ class CacheGeometry:
         self, time: int, flits: int, core: NodeId | None = None
     ) -> int:
         src = core if core is not None else self.core_node
-        arrival, _ = self.traverse(src, self.memory_node, time, flits)
-        return arrival + self.memory_pin_delay
+        leg = self.leg(src, self.memory_node)
+        return self.traverse_leg(leg, time, flits) + self.memory_pin_delay
 
     def memory_to_bank(
         self, column: int, position: int, time: int, flits: int
     ) -> int:
-        arrival, _ = self.traverse(
-            self.memory_node,
-            self.bank_node(column, position),
-            time + self.memory_pin_delay,
-            flits,
-        )
-        return arrival
+        leg = self.leg(self.memory_node, self.bank_node(column, position))
+        return self.traverse_leg(leg, time + self.memory_pin_delay, flits)
 
     def bank_to_memory(
         self, column: int, position: int, time: int, flits: int
     ) -> int:
-        arrival, _ = self.traverse(
-            self.bank_node(column, position), self.memory_node, time, flits
-        )
-        return arrival + self.memory_pin_delay
+        leg = self.leg(self.bank_node(column, position), self.memory_node)
+        return self.traverse_leg(leg, time, flits) + self.memory_pin_delay
 
     def enter_column(self, column: int, time: int) -> int:
         """Admission step before a request leaves the core.

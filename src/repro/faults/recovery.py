@@ -356,8 +356,9 @@ class DegradedCacheGeometry(CacheGeometry):
 
     Construction truncates columns to their live prefixes, swaps in
     degraded routing, and (by default) proof-checks every endpoint pair it
-    can ever route. ``traverse`` then counts rerouted traversals and runs
-    the seeded transient retry loop; with a null plan both additions are
+    can ever route. ``traverse_leg`` (every flow's per-segment entry point)
+    then counts rerouted traversals and runs the seeded transient retry
+    loop; with a null plan both additions are
     inert and the geometry times identically to the base class.
     """
 
@@ -404,21 +405,13 @@ class DegradedCacheGeometry(CacheGeometry):
         pairs = [(s, d) for s in ordered for d in ordered if s != d]
         return verify_degraded(self.topology, self.routing, pairs=pairs)
 
-    def traverse(
-        self,
-        src,
-        dst,
-        time: int,
-        flits: int,
-        record_waypoints: bool = False,
-    ):
+    def traverse_leg(self, leg, time: int, flits: int, waypoints=None) -> int:
+        src, dst = leg.src, leg.dst
         if src != dst and self.routing.is_rerouted(src, dst):
             self.fault_stats.rerouted_traversals += 1
-        arrival, waypoints = super().traverse(
-            src, dst, time, flits, record_waypoints
-        )
+        arrival = super().traverse_leg(leg, time, flits, waypoints)
         if self._transient_rate <= 0.0 or src == dst:
-            return arrival, waypoints
+            return arrival
         first_arrival = arrival
         attempt = 0
         send_time = time
@@ -431,16 +424,14 @@ class DegradedCacheGeometry(CacheGeometry):
             # off, and re-sends; the wire/bank reservations of the doomed
             # attempt stay charged (the flits did occupy them).
             send_time = send_time + policy.timeout + policy.backoff(attempt)
-            arrival, waypoints = super().traverse(
-                src, dst, send_time, flits, record_waypoints
-            )
+            arrival = super().traverse_leg(leg, send_time, flits, waypoints)
             self.fault_stats.retries += 1
             attempt += 1
         if attempt:
             self.fault_stats.recovery_penalties.append(
                 arrival - first_arrival
             )
-        return arrival, waypoints
+        return arrival
 
     def reset_contention(self) -> None:
         super().reset_contention()

@@ -13,8 +13,25 @@ Reservations already granted are never displaced (no preemption), which
 keeps the model causal and deterministic.
 
 The busy list is kept as two parallel sorted lists (interval starts and
-ends), so placement is a binary search plus a short forward scan from the
-first candidate gap instead of a linear walk over every reservation.
+ends) plus ``horizon``, the end of the latest reservation. Almost every
+request is *uncontended*: it arrives at or after ``horizon``, so it lands
+after every reservation and starts at its own time. That grant is a plain
+append (``Resource.acquire`` checks for it first, and the hot loops of
+``repro.core`` inline the same check and append). Only a request arriving
+before ``horizon`` runs the earliest-fit search: a binary search plus a
+short forward scan from the first candidate gap.
+
+Intervals ending at or before the shared :class:`FloorClock` can never
+matter to a request at or after the floor, so they are pruned -- lazily.
+The search path prunes before it searches, and the append path prunes once
+a list grows past :data:`PRUNE_CAP`, which bounds the lists. Lazy pruning
+grants exactly what pruning on every call would:
+
+* an uncontended grant lands after every reservation, so it starts at the
+  same time whether or not old intervals were pruned;
+* the search path removes every interval ending at or before the floor, so
+  it searches exactly the list eager pruning would have left (the floor
+  only rises, so eager pruning never removed anything else).
 """
 
 from __future__ import annotations
@@ -23,6 +40,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
+
+#: Busy-list length at which an uncontended grant prunes past intervals.
+PRUNE_CAP = 32
 
 
 @dataclass
@@ -46,9 +66,16 @@ class FloorClock:
 class Resource:
     """A single-server resource granting earliest-fit time intervals.
 
-    ``advance_floor`` lets the driver promise that no future request will
-    start before a given time, allowing old intervals to be pruned so the
+    A *floor_clock* promises that no future request starts before its
+    time, which lets intervals ending at or before it be pruned so the
     busy list stays short over long runs.
+
+    Callers may inline the uncontended grant of :meth:`acquire` for
+    ``duration > 0`` and ``time >= 0``: when ``horizon <= time``, append
+    ``time`` to ``starts`` and ``time + duration`` to ``ends``, set
+    ``horizon`` to that end, add one to ``grants`` and *duration* to
+    ``busy_cycles``, and call :meth:`prune` once ``len(ends) > PRUNE_CAP``.
+    The grant starts at ``time``.
     """
 
     __slots__ = (
@@ -58,9 +85,9 @@ class Resource:
         "queued_cycles",
         "waits",
         "floor_clock",
-        "_starts",
-        "_ends",
-        "_floor",
+        "horizon",
+        "starts",
+        "ends",
     )
 
     def __init__(
@@ -74,14 +101,17 @@ class Resource:
         #: the transaction-level analogue of a failed same-cycle allocation.
         self.waits = 0
         self.floor_clock = floor_clock
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-        self._floor = 0
+        #: End of the latest reservation granted since the last reset (0
+        #: when none). Pruning never moves it.
+        self.horizon = 0
+        #: Busy intervals as parallel sorted lists of starts and ends.
+        self.starts: list[int] = []
+        self.ends: list[int] = []
 
     @property
     def _intervals(self) -> list[tuple[int, int]]:
         """Busy intervals as (start, end) pairs (for tests/debugging)."""
-        return list(zip(self._starts, self._ends))
+        return list(zip(self.starts, self.ends))
 
     def acquire(self, time: int, duration: int) -> int:
         """Reserve *duration* cycles at the earliest gap at/after *time*.
@@ -94,20 +124,33 @@ class Resource:
         if duration == 0:
             self.grants += 1
             return start
-        self._prune()
-        starts = self._starts
-        ends = self._ends
-        # All reservations starting at or before `start` are behind us; only
-        # the latest of them can still be busy (intervals are disjoint).
-        i = bisect_right(starts, start)
-        if i and ends[i - 1] > start:
-            start = ends[i - 1]
-        n = len(starts)
-        while i < n and starts[i] - start < duration:
-            start = ends[i]
-            i += 1
-        starts.insert(i, start)
-        ends.insert(i, start + duration)
+        starts = self.starts
+        ends = self.ends
+        end = start + duration
+        if self.horizon <= start:
+            # Uncontended: lands after every reservation.
+            starts.append(start)
+            ends.append(end)
+            self.horizon = end
+            if len(ends) > PRUNE_CAP:
+                self.prune()
+        else:
+            self.prune()
+            # All reservations starting at or before `start` are behind us;
+            # only the latest of them can still be busy (intervals are
+            # disjoint).
+            i = bisect_right(starts, start)
+            if i and ends[i - 1] > start:
+                start = ends[i - 1]
+            n = len(starts)
+            while i < n and starts[i] - start < duration:
+                start = ends[i]
+                i += 1
+            end = start + duration
+            starts.insert(i, start)
+            ends.insert(i, end)
+            if end > self.horizon:
+                self.horizon = end
         if start > time:
             self.queued_cycles += start - time
             self.waits += 1
@@ -115,33 +158,21 @@ class Resource:
         self.grants += 1
         return start
 
-    def advance_floor(self, time: int) -> None:
-        """Promise that no future ``acquire`` will ask for a start < *time*."""
-        if time > self._floor:
-            self._floor = time
-
-    def _prune(self) -> None:
-        floor = self._floor
+    def prune(self) -> None:
+        """Drop every interval ending at or before the floor clock."""
         clock = self.floor_clock
-        if clock is not None and clock.time > floor:
-            floor = self._floor = clock.time
-        ends = self._ends
-        if not ends or floor <= 0:
+        if clock is None or clock.time <= 0:
             return
-        keep_from = bisect_right(ends, floor)
+        ends = self.ends
+        keep_from = bisect_right(ends, clock.time)
         if keep_from:
-            del self._starts[:keep_from]
+            del self.starts[:keep_from]
             del ends[:keep_from]
 
     def is_free_at(self, time: int) -> bool:
         """True if an acquire of length 1 at *time* would start immediately."""
-        i = bisect_right(self._starts, time)
-        return not i or self._ends[i - 1] <= time
-
-    @property
-    def next_free(self) -> int:
-        """End of the last reservation (0 when idle)."""
-        return self._ends[-1] if self._ends else 0
+        i = bisect_right(self.starts, time)
+        return not i or self.ends[i - 1] <= time
 
     def utilization(self, horizon: int) -> float:
         """Fraction of ``[0, horizon)`` the resource was busy."""
@@ -151,16 +182,16 @@ class Resource:
 
     def reset(self) -> None:
         """Return the resource to its initial idle state, keeping its name."""
-        self._starts.clear()
-        self._ends.clear()
-        self._floor = 0
+        self.starts.clear()
+        self.ends.clear()
+        self.horizon = 0
         self.busy_cycles = 0
         self.grants = 0
         self.queued_cycles = 0
         self.waits = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Resource(name={self.name!r}, reservations={len(self._starts)})"
+        return f"Resource(name={self.name!r}, reservations={len(self.starts)})"
 
 
 class OccupancyTracker:

@@ -6,6 +6,9 @@ from repro.cache.address import AddressMapper
 from repro.core.flows import FIGURE8_SCHEMES, Scheme, make_scheme
 from repro.core.system import NetworkedCacheSystem
 from repro.errors import ProtocolError
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.runner import execute_cell, spec_for
+from repro.sim.resource import Resource
 
 MAPPER = AddressMapper()
 
@@ -188,3 +191,31 @@ class TestDesignTimingContrasts:
         f = _probe_miss("multicast+fast_lru", design="F")
         # E pays 2 x 16 pin cycles, F only 2 x 9.
         assert e.memory_cycles >= f.memory_cycles
+
+
+class TestReservationWork:
+    """The hot path grants uncontended channels and banks without calls."""
+
+    def test_acquire_calls_are_a_small_share_of_grants(self, monkeypatch):
+        calls = 0
+        acquire = Resource.acquire
+
+        def counting_acquire(self, time, duration):
+            nonlocal calls
+            calls += 1
+            return acquire(self, time, duration)
+
+        monkeypatch.setattr(Resource, "acquire", counting_acquire)
+        spec = spec_for(
+            "A", "multicast+fast_lru", "mcf", ExperimentConfig(measure=300)
+        )
+        metrics = execute_cell(spec).metrics
+        grants = metrics["cache.bank.grants"]["value"] + sum(
+            entry["value"]
+            for key, entry in metrics.items()
+            if key.startswith("noc.link.grants.")
+        )
+        assert grants > 300 * 50
+        # Only contended grants and a few one-off ones (memory channel, MRU
+        # fill) call acquire: about 6% of the grants of this cell.
+        assert calls <= 0.2 * grants, (calls, grants)

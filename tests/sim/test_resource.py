@@ -1,5 +1,7 @@
 """Unit tests for interval resources and trackers."""
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,90 @@ class TestResource:
         granted.sort()
         for (_, end_a), (start_b, _) in zip(granted, granted[1:]):
             assert end_a <= start_b
+
+
+class _EagerPruneResource:
+    """Reference earliest-fit resource that prunes on every call.
+
+    This is the placement rule of :class:`Resource` before lazy pruning:
+    drop every interval ending at or before the floor, then search.
+    """
+
+    def __init__(self, clock: FloorClock) -> None:
+        self.clock = clock
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.busy_cycles = 0
+        self.grants = 0
+        self.queued_cycles = 0
+        self.waits = 0
+
+    def acquire(self, time: int, duration: int) -> int:
+        start = time if time > 0 else 0
+        if duration == 0:
+            self.grants += 1
+            return start
+        keep_from = bisect_right(self.ends, self.clock.time)
+        del self.starts[:keep_from]
+        del self.ends[:keep_from]
+        i = bisect_right(self.starts, start)
+        if i and self.ends[i - 1] > start:
+            start = self.ends[i - 1]
+        while i < len(self.starts) and self.starts[i] - start < duration:
+            start = self.ends[i]
+            i += 1
+        self.starts.insert(i, start)
+        self.ends.insert(i, start + duration)
+        if start > time:
+            self.queued_cycles += start - time
+            self.waits += 1
+        self.busy_cycles += duration
+        self.grants += 1
+        return start
+
+
+class TestLazyPruningEquivalence:
+    """Lazy pruning grants exactly what pruning on every call grants."""
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                # Advance the floor clock by a delta.
+                st.tuples(st.just("advance"), st.integers(0, 40)),
+                # Request (floor + offset, duration): negative offsets ask
+                # below the floor (and below zero), zero durations are free.
+                st.tuples(
+                    st.integers(-60, 80), st.integers(0, 25)
+                ),
+            ),
+            min_size=1,
+            max_size=150,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eager_prune_reference(self, ops):
+        clock = FloorClock()
+        lazy = Resource(floor_clock=clock)
+        eager = _EagerPruneResource(clock)
+        for op, value in ops:
+            if op == "advance":
+                clock.advance(clock.time + value)
+                continue
+            time = clock.time + op
+            assert lazy.acquire(time, value) == eager.acquire(time, value)
+        for counter in ("busy_cycles", "grants", "queued_cycles", "waits"):
+            assert getattr(lazy, counter) == getattr(eager, counter), counter
+
+    def test_uncontended_grants_append_and_prune_at_cap(self):
+        clock = FloorClock()
+        resource = Resource(floor_clock=clock)
+        for t in range(0, 40 * 10, 10):
+            resource.acquire(t, 5)
+        assert len(resource.ends) == 40  # no floor yet: nothing prunable
+        clock.advance(395)
+        resource.acquire(400, 5)
+        assert resource._intervals == [(400, 405)]
+        assert resource.horizon == 405
 
 
 class TestOccupancyTracker:
