@@ -29,16 +29,26 @@ Seitz argument restricted to the pairs actually routed -- the channel
 dependency graph must stay acyclic, and on simplified meshes every path's
 Fig. 5(b) channel enumeration must still strictly increase -- so the
 existing XYX-legality invariant checker passes under degradation. It
-walks the routes once, as per-destination route trees, and derives every
-check from them.
+proves them over destination x node next-hop tables
+(:class:`~repro.noc.routing.RouteTables`): the base route is tabled once,
+base-path liveness and routability are pointer-jumping passes over whole
+tables, and every check is an array pass. A failing check replays the
+route-tree walk (:class:`~repro.noc.routing.RouteForest`) to raise its
+exact error.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
+import numpy as np
+
 from repro.errors import RoutingError, ValidationError
 from repro.noc.routing import (
+    DependencyGraph,
     RouteComputer,
     RouteForest,
+    RouteTables,
     find_cycle,
     is_deadlock_free,
     xyx_channel_number,
@@ -49,6 +59,7 @@ from repro.noc.topology import (
     HaloTopology,
     MeshTopology,
     NodeId,
+    SimplifiedMeshTopology,
     Topology,
 )
 
@@ -155,6 +166,10 @@ class DegradedRouting(RouteComputer):
         self.detour_hops = 0
         self._base_ok: dict[tuple[NodeId, NodeId], bool] = {}
         self._detour_next: dict[tuple[NodeId, NodeId], NodeId | None] = {}
+        #: Channels that exist and survive: the ones a U-route may take.
+        self._live = (
+            frozenset((c.src, c.dst) for c in topology.channels()) - self.dead
+        )
 
     # -- base-route liveness ------------------------------------------------
 
@@ -206,9 +221,6 @@ class DegradedRouting(RouteComputer):
 
     # -- U-shaped detours ---------------------------------------------------
 
-    def _channel_alive(self, src: NodeId, dst: NodeId) -> bool:
-        return self.topology.has_channel(src, dst) and (src, dst) not in self.dead
-
     def _find_u_path(self, current: NodeId, destination: NodeId):
         """First fully-alive U-route, trying rows nearest the base first.
 
@@ -217,31 +229,36 @@ class DegradedRouting(RouteComputer):
         direction, and descends the destination column (``Y+``). Candidate
         pivots are tried from ``min(sy, dy)`` down to row 0, so detours
         prefer the *next* row toward the core and fall back outward.
+        The ascent and the descent only lengthen as the pivot falls, so
+        the first dead channel on either ends the search.
         Deterministic by construction. Returns ``None`` when no candidate
         survives (destination unroutable) or on non-mesh topologies,
         where base-or-nothing keeps routing provably deadlock-free.
         """
         if not isinstance(self.topology, MeshTopology):
             return None
+        live = self._live
         sx, sy = current
         dx, dy = destination
         step = 1 if dx > sx else -1
-        for r in range(min(sy, dy), -1, -1):
-            path = [current]
-            ok = True
-            for y in range(sy, r, -1):  # ascend own column
-                ok = ok and self._channel_alive((sx, y), (sx, y - 1))
-                path.append((sx, y - 1))
-            x = sx
-            while ok and x != dx:  # cross at the pivot row
-                ok = self._channel_alive((x, r), (x + step, r))
-                path.append((x + step, r))
-                x += step
-            for y in range(r, dy):  # descend the destination column
-                ok = ok and self._channel_alive((dx, y), (dx, y + 1))
-                path.append((dx, y + 1))
-            if ok and path[-1] == destination:
-                return path
+        top = min(sy, dy)
+        if any(
+            ((sx, y), (sx, y - 1)) not in live for y in range(sy, top, -1)
+        ) or any(((dx, y), (dx, y + 1)) not in live for y in range(top, dy)):
+            return None
+        for r in range(top, -1, -1):
+            if r < top and (
+                ((sx, r + 1), (sx, r)) not in live
+                or ((dx, r), (dx, r + 1)) not in live
+            ):
+                return None
+            if all(((x, r), (x + step, r)) in live for x in range(sx, dx, step)):
+                return (
+                    [current]
+                    + [(sx, y - 1) for y in range(sy, r, -1)]  # ascend
+                    + [(x + step, r) for x in range(sx, dx, step)]  # cross
+                    + [(dx, y + 1) for y in range(r, dy)]  # descend
+                )
         return None
 
     def _detour_hop(self, current: NodeId, destination: NodeId) -> NodeId | None:
@@ -266,6 +283,31 @@ class DegradedRouting(RouteComputer):
             )
         self.detour_hops += 1
         return nxt
+
+    def route_tables(self, tables: RouteTables) -> tuple[np.ndarray, np.ndarray]:
+        """This routing's next-hop table and its base-liveness table.
+
+        The base route computer is tabled once; pointer jumping over
+        "the channel exists and is not dead" then gives
+        :meth:`base_path_alive` for every entry at once. The degraded
+        table is the base hop where the base path is alive and the
+        memoized U-route detour (or the error sentinel) where it is
+        not: what :meth:`next_hop` answers, without walking. A subclass
+        that redefines :meth:`next_hop` is tabled one call per entry.
+        """
+        base = tables.table(self.base)
+        channel = tables.hop_channels(base)
+        live = channel >= 0
+        live[live] = ~tables.channel_mask(self.dead)[channel[live]]
+        alive, _ = tables.reach(base, live)
+        if getattr(self.next_hop, "__func__", None) is not DegradedRouting.next_hop:
+            return tables.table(self), alive
+        hops = base.copy()
+        nodes, index, destinations = tables.nodes, tables.index, tables.destinations
+        for r, u in zip(*(~alive).nonzero()):
+            nxt = self._detour_hop(nodes[u], nodes[destinations[r]])
+            hops[r, u] = tables.error if nxt is None else index[nxt]
+        return hops, alive
 
     def can_route(self, source: NodeId, destination: NodeId) -> bool:
         """True when a full route exists (does not count detour hops)."""
@@ -301,43 +343,117 @@ def verify_degraded(
        strictly increasing -- the same property the online
        ``ChannelOrderChecker`` enforces flit by flit.
 
-    All three read one :class:`~repro.noc.routing.RouteForest` walk, which
-    decides each ``(node, destination)`` hop once. Check 3 runs per
-    dependency edge: those edges are exactly the consecutive channel pairs
-    of the routed paths, so every edge increasing is every path
-    increasing. ``routing.detour_hops`` is left as it was found.
+    All three are whole-table array passes over the destination x node
+    next-hop tables of :meth:`DegradedRouting.route_tables`
+    (:func:`_table_proof`). Check 3 runs per dependency edge: those edges
+    are exactly the consecutive channel pairs of the routed paths, so
+    every edge increasing is every path increasing. When any check
+    fails, the route-tree proof (:class:`~repro.noc.routing.RouteForest`)
+    is replayed to raise its exact :class:`ValidationError`; a passing
+    proof is only ever computed from the tables. ``routing.detour_hops``
+    is left as it was found.
 
     Returns a report dict (``pairs_checked``, ``rerouted_pairs``,
     ``unroutable_pairs``, ``xyx_checked``).
     """
-    from repro.noc.topology import SimplifiedMeshTopology
-
     strict = pairs is not None
     if pairs is None:
         live = sorted(alive_nodes(topology, routing.dead), key=str)
         pairs = [(s, d) for s in live for d in live if s != d]
+    else:
+        pairs = list(pairs)
 
-    forest = RouteForest(topology, routing)
-    routed = 0
-    rerouted = 0
-    unroutable = 0
     saved_detour_hops = routing.detour_hops
     try:
-        for source, destination in pairs:
-            reason = forest.walk(source, destination)
-            if reason is None:
-                routed += 1
-                if routing.is_rerouted(source, destination):
-                    rerouted += 1
-            elif strict:
-                raise ValidationError(
-                    f"degraded routing cannot serve {source}->{destination}: "
-                    f"{reason}"
-                )
-            else:
-                unroutable += 1
+        report, _ = _table_proof(topology, routing, pairs, strict)
+        if report is None:
+            _replay_route_trees(topology, routing, pairs, strict)
+            raise ValidationError(
+                f"unreachable: the route-tree replay of a failed table proof "
+                f"on {topology.name} must raise"
+            )
     finally:
         routing.detour_hops = saved_detour_hops
+    return report
+
+
+def _table_proof(
+    topology: Topology,
+    routing: DegradedRouting,
+    pairs: list,
+    strict: bool,
+) -> tuple[dict | None, DependencyGraph | None]:
+    """:func:`verify_degraded`'s checks as whole-table array passes.
+
+    Returns the report, or ``None`` when any check fails, together with
+    the channel dependency graph of the routed pairs (``None`` when a
+    check before it failed). Tree membership marks the nodes on routed
+    pairs' paths -- the trees a :class:`RouteForest` would grow -- by
+    propagating from the sources.
+    """
+    sources, destinations = zip(*pairs) if pairs else ((), ())
+    tables = RouteTables(topology, dict.fromkeys(destinations))
+    lookup = tables.index.get
+    src = np.fromiter(map(lookup, sources, repeat(-1)), dtype=np.intp)
+    dst = np.fromiter(map(lookup, destinations, repeat(-1)), dtype=np.intp)
+    if (src < 0).any() or (dst < 0).any():
+        return None, None  # an endpoint outside the topology
+    row = tables.row[dst]
+
+    hops, alive = routing.route_tables(tables)
+    channel = tables.hop_channels(hops)
+    starts = np.zeros(hops.shape, dtype=bool)
+    starts[row, src] = True
+    routable, visited = tables.reach(hops, channel >= 0, starts)
+    routed = routable[row, src]
+    if strict and not routed.all():
+        return None, None
+    tree = visited & routable & ~tables.home
+    if tables.channel_mask(routing.dead)[channel[tree]].any():
+        return None, None
+
+    edges = tables.dependency_edges(hops, tree)
+    graph = tables.dependency_graph(edges)
+    if find_cycle(graph) is not None:
+        return None, graph
+
+    xyx_checked = isinstance(topology, SimplifiedMeshTopology)
+    if xyx_checked:
+        cols, rows = topology.cols, topology.rows
+        number = {
+            k: xyx_channel_number(cols, rows, *tables.channels[k])
+            for k in np.unique(edges).tolist()
+        }
+        if any(number[b] <= number[a] for a, b in edges.tolist()):
+            return None, graph
+
+    routed_count = int(routed.sum())
+    return {
+        "pairs_checked": routed_count,
+        "rerouted_pairs": int((routed & ~alive[row, src]).sum()),
+        "unroutable_pairs": len(pairs) - routed_count,
+        "xyx_checked": xyx_checked,
+    }, graph
+
+
+def _replay_route_trees(
+    topology: Topology,
+    routing: DegradedRouting,
+    pairs: list,
+    strict: bool,
+) -> None:
+    """The route-tree proof, run to raise the first failing check's error."""
+    forest = RouteForest(topology, routing)
+    routed = 0
+    for source, destination in pairs:
+        reason = forest.walk(source, destination)
+        if reason is None:
+            routed += 1
+        elif strict:
+            raise ValidationError(
+                f"degraded routing cannot serve {source}->{destination}: "
+                f"{reason}"
+            )
 
     for node, nxt, destination in forest.hops():
         if (node, nxt) in routing.dead:
@@ -354,8 +470,7 @@ def verify_degraded(
             f"({' -> '.join(f'{a}->{b}' for a, b in cycle or ())})"
         )
 
-    xyx_checked = isinstance(topology, SimplifiedMeshTopology)
-    if xyx_checked:
+    if isinstance(topology, SimplifiedMeshTopology):
         cols, rows = topology.cols, topology.rows
         for held, requested, destination in forest.dependencies():
             if xyx_channel_number(cols, rows, *requested) <= xyx_channel_number(
@@ -367,13 +482,6 @@ def verify_degraded(
                     f"degraded route {path} violates the Fig. 5(b) channel "
                     f"enumeration: {numbers} is not strictly increasing"
                 )
-
-    return {
-        "pairs_checked": routed,
-        "rerouted_pairs": rerouted,
-        "unroutable_pairs": unroutable,
-        "xyx_checked": xyx_checked,
-    }
 
 
 _ = HUB  # halo vocabulary used by fallback_destination

@@ -13,10 +13,15 @@ column and ``Y-`` is the reply direction back toward the core/memory row.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import RoutingError
 from repro.noc.topology import HUB, HaloTopology, NodeId, Topology
+
+if TYPE_CHECKING:
+    # RouteTables imports NumPy where it runs: this module loads early at
+    # start-up, and importing NumPy that early raises peak RSS.
+    import numpy as np
 
 
 class Direction(enum.Enum):
@@ -412,6 +417,164 @@ def find_cycle(graph: DependencyGraph) -> list[ChannelKey] | None:
                 del depth[channel]
                 done.add(channel)
     return None
+
+
+class RouteTables:
+    """Destination x node next-hop tables of destination-based routes.
+
+    The same per-destination trees as :class:`RouteForest`, held as
+    arrays instead of walked. Nodes are indexed once, in ``str`` order,
+    and channels in ``topology.channels()`` order. A table has one row
+    per destination in :attr:`destinations` and one column per node:
+    ``table[r, u]`` is the index of the node a route computer picks from
+    ``u`` toward row ``r``'s destination, :attr:`stall` where it returned
+    ``None``, or :attr:`error` where it raised :class:`RoutingError` or
+    named a node outside the topology. A destination's own column holds
+    the destination. Every check below is a whole-table array pass, so
+    proving all pairs of a fabric costs one ``next_hop`` call per (node,
+    destination) plus ``ceil(log2 nodes)`` pointer-jumping rounds.
+    """
+
+    def __init__(
+        self, topology: Topology, destinations: Iterable[NodeId]
+    ) -> None:
+        import numpy as np
+
+        self.topology = topology
+        self.nodes = sorted(topology.nodes, key=str)
+        self.index = {node: i for i, node in enumerate(self.nodes)}
+        n = len(self.nodes)
+        self.stall = n
+        self.error = n + 1
+        self.channels: list[ChannelKey] = [
+            (channel.src, channel.dst) for channel in topology.channels()
+        ]
+        #: ``channel_id[u, v]``: id of channel ``u -> v``, or -1 when there
+        #: is none (as in both sentinel columns).
+        self.channel_id = np.full((n, n + 2), -1, dtype=np.intp)
+        for k, (src, dst) in enumerate(self.channels):
+            self.channel_id[self.index[src], self.index[dst]] = k
+        #: Node index of each row's destination (destinations outside the
+        #: topology get no row).
+        self.destinations = np.array(
+            sorted(
+                {self.index[d] for d in destinations if d in self.index}
+            ),
+            dtype=np.intp,
+        )
+        #: ``row[u]``: the row whose destination is node ``u``, else -1.
+        self.row = np.full(n, -1, dtype=np.intp)
+        self.row[self.destinations] = np.arange(len(self.destinations))
+        #: ``home[r, u]``: node ``u`` is row ``r``'s destination.
+        self.home = self.destinations[:, None] == np.arange(n)
+
+    def table(self, routing: RouteComputer) -> np.ndarray:
+        """*routing*'s table: one ``next_hop`` call per (destination, node)."""
+        import numpy as np
+
+        topology, nodes, index = self.topology, self.nodes, self.index
+        stall, error = self.stall, self.error
+        next_hop = routing.next_hop
+        table = np.empty(self.home.shape, dtype=np.intp)
+        for r, d in enumerate(self.destinations.tolist()):
+            destination = nodes[d]
+            row = []
+            for u, node in enumerate(nodes):
+                if u == d:
+                    row.append(d)
+                    continue
+                try:
+                    nxt = next_hop(topology, node, destination)
+                except RoutingError:
+                    row.append(error)
+                    continue
+                row.append(stall if nxt is None else index.get(nxt, error))
+            table[r] = row
+        return table
+
+    def channel_mask(self, channels: Iterable[ChannelKey]) -> np.ndarray:
+        """Per channel id: is the channel one of *channels*?"""
+        import numpy as np
+
+        members = frozenset(channels)
+        return np.array([c in members for c in self.channels], dtype=bool)
+
+    def hop_channels(self, table: np.ndarray) -> np.ndarray:
+        """Channel id of every entry's hop; -1 where the hop is no channel."""
+        import numpy as np
+
+        return self.channel_id[np.arange(len(self.nodes)), table]
+
+    def reach(
+        self,
+        table: np.ndarray,
+        ok: np.ndarray,
+        sources: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Which entries route home over ``ok`` entries, by pointer jumping.
+
+        Entry ``(r, u)`` routes home when the walk along *table* from
+        ``u`` reaches row ``r``'s destination through entries that are
+        all ``ok`` (an ``ok`` entry must hop to a node). Every entry
+        that is not ``ok`` is made its own successor, and so is each
+        destination. Round ``k`` then leaves ``succ`` holding each
+        entry's ``2**k``-th successor and ``good`` whether the first
+        ``2**k`` entries of its walk are all ``ok``. A walk that gets
+        home does so within ``nodes - 1`` hops and stays there, so after
+        ``ceil(log2 nodes)`` rounds an entry routes home exactly when it
+        is good and its successor is home; a walk that stalls or loops
+        never is.
+
+        *sources*, a mask of walk starts, comes back with every node those
+        walks visit marked, by the same doubling (a walk's first
+        ``2**(k+1)`` nodes are its first ``2**k`` and their ``2**k``-th
+        successors). A walk that fails visits only nodes that fail too.
+        """
+        import numpy as np
+
+        n = len(self.nodes)
+        rows = np.arange(len(self.destinations))[:, None]
+        good = ok | self.home
+        succ = np.where(good, table, np.arange(n))
+        visited = None if sources is None else sources.copy()
+        for _ in range(max(1, (n - 1).bit_length())):
+            if visited is not None:
+                r, u = visited.nonzero()
+                visited[r, succ[r, u]] = True
+            good = good & good[rows, succ]
+            succ = succ[rows, succ]
+        return good & (succ == self.destinations[:, None]), visited
+
+    def dependency_edges(
+        self, table: np.ndarray, tree: np.ndarray
+    ) -> np.ndarray:
+        """``(held, requested)`` channel-id pairs of the routes in *tree*.
+
+        *tree* marks the nodes whose hop some checked route takes (never
+        a row's destination). A route holds ``u -> v`` while requesting
+        ``v -> table[r, v]`` at every tree node ``u`` whose hop does not
+        end the route: the turns :meth:`RouteForest.dependencies` yields.
+        Each pair comes once, sorted.
+        """
+        import numpy as np
+
+        r, u = tree.nonzero()
+        v = table[r, u]
+        turn = v != self.destinations[r]
+        r, u, v = r[turn], u[turn], v[turn]
+        count = len(self.channels)
+        codes = np.unique(
+            self.channel_id[u, v] * count + self.channel_id[v, table[r, v]]
+        )
+        return np.stack(np.divmod(codes, count), axis=1)
+
+    def dependency_graph(self, edges: np.ndarray) -> DependencyGraph:
+        """The insertion-ordered :data:`DependencyGraph` of *edges*."""
+        channels = self.channels
+        graph: DependencyGraph = {channel: {} for channel in channels}
+        for held, requested in edges.tolist():
+            graph[channels[held]][channels[requested]] = None
+        return graph
 
 
 def channel_dependency_graph(

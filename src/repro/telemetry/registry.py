@@ -20,6 +20,7 @@ serial and parallel sweeps produce identical merged metrics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, cast
 
 from repro.errors import TelemetryError
@@ -103,13 +104,9 @@ class Histogram:
         self.count = 0
 
     def record(self, value: float) -> None:
-        counts = self.counts
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
+        edges = self.edges
+        # First edge >= value; NaN (unequal to itself) is the overflow.
+        self.counts[bisect_left(edges, value) if value == value else len(edges)] += 1
         self.total += value
         self.count += 1
 
@@ -254,12 +251,8 @@ class Series:
             counts = windows.get(index)
             if counts is None:
                 counts = windows[index] = [0] * (len(edges) + 1)
-            for i, edge in enumerate(edges):
-                if value <= edge:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
+            # As in Histogram.record.
+            counts[bisect_left(edges, value) if value == value else len(edges)] += 1
         elif self.agg == "sum":
             windows[index] = windows.get(index, 0) + value
         else:  # max

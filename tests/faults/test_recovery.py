@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.noc.network import Network
 from repro.noc.packet import MessageType, Packet
+from repro.noc.routing import RouteForest
 from repro.noc.topology import MeshTopology
 from repro.sim.kernel import DeadlineQueue
 from repro.validation.invariants import (
@@ -128,28 +129,40 @@ class TestTruncateColumns:
 
 
 class TestVerifyRoutesWork:
-    def test_design_a_decides_each_hop_once(self):
-        """The proof walks route trees, not one path per endpoint pair."""
+    def test_design_a_decides_each_hop_once(self, monkeypatch):
+        """The proof tables each (node, destination) hop once, walks none."""
         base = make_design("A")
         plan = FaultPlan.sample(base.topology, link_rate=1e-2, seed=1)
         geometry = DegradedCacheGeometry(
             base.topology, base.columns, plan, seed=1, verify=False
         )
         routing = geometry.routing
-        calls = {}
-        next_hop = routing.next_hop
 
-        def counted(topology, current, destination):
-            key = (current, destination)
-            calls[key] = calls.get(key, 0) + 1
-            return next_hop(topology, current, destination)
+        def counted(calls, method):
+            def wrapper(*args):
+                key = args[-2:]  # (current, destination)
+                calls[key] = calls.get(key, 0) + 1
+                return method(*args)
 
-        routing.next_hop = counted
+            return wrapper
+
+        base_calls, detour_calls, walks = {}, {}, []
+        routing.base.next_hop = counted(base_calls, routing.base.next_hop)
+        routing._find_u_path = counted(detour_calls, routing._find_u_path)
+        walk = RouteForest.walk
+
+        def counted_walk(forest, source, destination):
+            walks.append((source, destination))
+            return walk(forest, source, destination)
+
+        monkeypatch.setattr(RouteForest, "walk", counted_walk)
         report = geometry.verify_routes()
         assert report["rerouted_pairs"] > 0
-        assert calls and max(calls.values()) == 1
+        assert base_calls and max(base_calls.values()) == 1
+        assert detour_calls and max(detour_calls.values()) == 1
         nodes = base.topology.num_nodes
-        assert len(calls) <= nodes * (nodes - 1)
+        assert len(base_calls) <= nodes * (nodes - 1)
+        assert walks == []
 
 
 class TestDeadlineQueue:

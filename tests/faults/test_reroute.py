@@ -9,7 +9,7 @@ from repro.faults import (
     fallback_destination,
     verify_degraded,
 )
-from repro.noc.routing import XYRouting, routing_for
+from repro.noc.routing import RouteComputer, XYRouting, routing_for
 from repro.noc.topology import MeshTopology, SimplifiedMeshTopology
 
 
@@ -169,6 +169,63 @@ class TestProofBranchesFail:
         report = verify_degraded(topology, routing)
         assert report["unroutable_pairs"] > 0
         assert report["pairs_checked"] + report["unroutable_pairs"] == 9 * 8
+
+    def test_table_failure_the_replay_cannot_confirm_raises(self, monkeypatch):
+        from repro.faults import reroute
+
+        monkeypatch.setattr(reroute, "_table_proof", lambda *args: (None, None))
+        topology = MeshTopology(3, 3)
+        with pytest.raises(ValidationError, match="unreachable"):
+            verify_degraded(topology, _degraded(topology))
+
+
+class _Snake(RouteComputer):
+    """Routes along one boustrophedon walk through every node of a mesh."""
+
+    name = "snake"
+
+    def __init__(self, cols, rows):
+        self.order = [
+            (x if y % 2 == 0 else cols - 1 - x, y)
+            for y in range(rows)
+            for x in range(cols)
+        ]
+        self.rank = {node: i for i, node in enumerate(self.order)}
+
+    def next_hop(self, topology, current, destination):
+        i, j = self.rank[current], self.rank[destination]
+        if i == j:
+            return None
+        return self.order[i + 1 if j > i else i - 1]
+
+
+class TestRoutesLongerThanHalfTheNodes:
+    """The snake's end-to-end routes take 15 hops on 16 nodes, so a proof
+    whose pointer jumping stops one round short (8 hops) misreports them."""
+
+    REPORT = {
+        "pairs_checked": 16 * 15,
+        "rerouted_pairs": 0,
+        "unroutable_pairs": 0,
+        "xyx_checked": False,
+    }
+
+    def test_long_base_routes_stay_alive(self):
+        topology = MeshTopology(4, 4)
+        routing = DegradedRouting(topology, _Snake(4, 4), ())
+        assert verify_degraded(topology, routing) == self.REPORT
+
+    def test_long_degraded_routes_route(self):
+        topology = MeshTopology(4, 4)
+        snake = _Snake(4, 4)
+        routing = _Stub(
+            topology, lambda cur, dst: snake.next_hop(topology, cur, dst)
+        )
+        assert verify_degraded(topology, routing) == self.REPORT
+        pairs = [(snake.order[0], snake.order[-1])]
+        assert verify_degraded(topology, routing, pairs=pairs)[
+            "pairs_checked"
+        ] == 1
 
 
 class TestAliveAndFallback:

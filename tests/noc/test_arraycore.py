@@ -245,7 +245,7 @@ class TestScalarFallbackEquivalence:
     tests monkeypatch ``HAVE_NUMPY`` off (a no-op in a genuinely
     numpy-free environment) and hold the scalar sweeps to the same
     bit-equivalence contract as the vectorized ones. No ``needs_numpy``
-    marker on purpose -- this class runs in the no-numpy CI job too."""
+    marker on purpose -- the scalar path must not depend on NumPy."""
 
     @pytest.fixture(autouse=True)
     def _force_scalar(self, monkeypatch):

@@ -42,7 +42,7 @@ def _modes() -> list[str]:
     """Execution modes available in this environment.
 
     ``array-vector`` (forced whole-mesh sweeps) needs numpy; the other
-    three run everywhere, so the suite stays green in the no-numpy job.
+    three, ``array-scalar`` among them, run everywhere.
     """
     modes = ["object", "array-auto", "array-scalar"]
     if HAVE_NUMPY:

@@ -1,5 +1,6 @@
 """Unit and property tests for XY / XYX / spike routing (Fig. 5)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from repro.noc import (
 from repro.noc.routing import (
     RouteComputer,
     RouteForest,
+    RouteTables,
     SpikeRouting,
     find_cycle,
     is_deadlock_free,
@@ -273,6 +275,117 @@ class TestRouteForest:
         assert find_cycle({"a": {"b": None}, "b": {}}) is None
         graph = {"a": {"b": None}, "b": {"c": None}, "c": {"b": None}}
         assert find_cycle(graph) == ["b", "c", "b"]
+
+
+class _Snake(RouteComputer):
+    """Routes along one boustrophedon walk through every node of a mesh."""
+
+    name = "snake"
+
+    def __init__(self, cols, rows):
+        self.order = [
+            (x if y % 2 == 0 else cols - 1 - x, y)
+            for y in range(rows)
+            for x in range(cols)
+        ]
+        self.rank = {node: i for i, node in enumerate(self.order)}
+
+    def next_hop(self, topology, current, destination):
+        i, j = self.rank[current], self.rank[destination]
+        if i == j:
+            return None
+        return self.order[i + 1 if j > i else i - 1]
+
+
+class _Raising(XYRouting):
+    def next_hop(self, topology, current, destination):
+        if current == (0, 0):
+            raise RoutingError("no route from the corner")
+        return super().next_hop(topology, current, destination)
+
+
+def _reach_all(tables, table):
+    """Routability of every entry, and the nodes every source's walk visits."""
+    sources = ~tables.home
+    return tables.reach(table, tables.hop_channels(table) >= 0, sources)
+
+
+class TestRouteTables:
+    def test_table_encodes_hops_and_both_sentinels(self):
+        mesh = MeshTopology(3, 1)
+        tables = RouteTables(mesh, [(2, 0)])
+        scripted = tables.table(_Scripted({((0, 0), (2, 0)): (1, 0)}))
+        index = tables.index
+        assert tables.nodes == [(0, 0), (1, 0), (2, 0)]
+        assert scripted.tolist() == [[index[(1, 0)], tables.stall, index[(2, 0)]]]
+        raising = tables.table(_Raising())
+        assert raising.tolist() == [[tables.error, index[(2, 0)], index[(2, 0)]]]
+
+    def test_reach_follows_routes_longer_than_half_the_nodes(self):
+        # The snake's end-to-end route has 15 hops on 16 nodes: one
+        # pointer-jumping round short (2**3 = 8 hops) cannot see it home.
+        mesh = MeshTopology(4, 4)
+        snake = _Snake(4, 4)
+        assert len(snake.path(mesh, snake.order[0], snake.order[-1])) - 1 == 15
+        tables = RouteTables(mesh, mesh.nodes)
+        table = tables.table(snake)
+        sources = np.zeros(table.shape, dtype=bool)
+        row = tables.row[tables.index[snake.order[-1]]]
+        sources[row, tables.index[snake.order[0]]] = True
+        routable, visited = tables.reach(
+            table, tables.hop_channels(table) >= 0, sources
+        )
+        assert routable.all()
+        assert visited[row].all()
+        assert not np.delete(visited, row, axis=0).any()
+
+    def test_reach_fails_stalls_loops_and_missing_channels(self):
+        mesh = MeshTopology(4, 1)
+        goal = (3, 0)
+        script = {
+            ((0, 0), goal): (1, 0),  # into the loop below
+            ((1, 0), goal): (2, 0),
+            ((2, 0), goal): (1, 0),  # loops back
+        }
+        tables = RouteTables(mesh, [goal, (0, 0)])
+        table = tables.table(_Scripted(script))
+        routable, _ = tables.reach(table, tables.hop_channels(table) >= 0)
+        row = tables.row[tables.index[goal]]
+        assert routable[row].tolist() == [False, False, False, True]
+        # Toward (0, 0) every hop stalls except the destination itself.
+        other = tables.row[tables.index[(0, 0)]]
+        assert routable[other].tolist() == [True, False, False, False]
+        jump = tables.table(_Scripted({((0, 0), goal): goal}))
+        routable, _ = tables.reach(jump, tables.hop_channels(jump) >= 0)
+        assert not routable[row, tables.index[(0, 0)]]  # missing channel
+
+    @pytest.mark.parametrize(
+        "topology, routing",
+        [
+            (MeshTopology(4, 4), XYRouting()),
+            (SimplifiedMeshTopology(4, 4), XYXRouting()),
+            (HaloTopology(3, 3), SpikeRouting()),
+        ],
+    )
+    def test_routes_and_dependencies_match_the_forest(self, topology, routing):
+        tables = RouteTables(topology, topology.nodes)
+        table = tables.table(routing)
+        routable, visited = _reach_all(tables, table)
+        forest = RouteForest(topology, routing)
+        routed = []
+        for d in tables.nodes:
+            for s in tables.nodes:
+                ok = forest.walk(s, d) is None
+                assert routable[tables.row[tables.index[d]], tables.index[s]] == ok
+                if ok:
+                    routed.append((s, d))
+        tree = visited & routable & ~tables.home
+        graph = tables.dependency_graph(tables.dependency_edges(table, tree))
+        forest_graph = route_forest(topology, routing, routed).dependency_graph()
+        assert list(graph) == list(forest_graph)
+        assert {k: set(v) for k, v in graph.items()} == {
+            k: set(v) for k, v in forest_graph.items()
+        }
 
 
 class TestRoutingFor:

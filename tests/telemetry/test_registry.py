@@ -7,8 +7,11 @@ sweeps fold per-cell snapshots into identical totals.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
@@ -91,6 +94,57 @@ class TestHistogram:
         # The figure drivers and the merge path both depend on these
         # exact edges; changing them silently breaks series comparability.
         assert CHAIN_DEPTH_EDGES == (0, 1, 2, 3, 4, 6, 8, 12, 16)
+
+
+def _linear_bucket(edges, value):
+    """The bucket a linear scan of the edges picks (first edge >= value)."""
+    for i, edge in enumerate(edges):
+        if value <= edge:
+            return i
+    return len(edges)
+
+
+_EDGES = st.lists(
+    st.one_of(
+        st.integers(-1000, 1000),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=12,
+    unique=True,
+).map(lambda edges: tuple(sorted(edges)))
+
+
+class TestBucketBisection:
+    @given(
+        edges=_EDGES,
+        extra=st.lists(st.one_of(st.integers(-2000, 2000), st.floats())),
+    )
+    def test_bisection_matches_linear_scan(self, edges, extra):
+        """Every edge, just below the first, above the last, NaN, +-inf."""
+        values = [
+            *edges,
+            edges[0] - 1,
+            edges[-1] + 1,
+            math.nan,
+            math.inf,
+            -math.inf,
+            *extra,
+        ]
+        hist = Histogram(edges=edges)
+        series = Series(8, agg="hist", edges=edges)
+        expected = [0] * (len(edges) + 1)
+        for value in values:
+            hist.record(value)
+            series.record(0, value)
+            expected[_linear_bucket(edges, value)] += 1
+        assert hist.counts == expected
+        assert series.windows[0] == expected
+
+    def test_nan_lands_in_overflow(self):
+        hist = Histogram(edges=(0, 1, 2))
+        hist.record(math.nan)
+        assert hist.counts == [0, 0, 0, 1]
 
 
 class TestSeries:
