@@ -3,7 +3,7 @@
 Standalone (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_arraycore.py \
-        [--packets N] [--vector {auto,on,off}] [--cell NAME] [--json-out P]
+        [--packets N] [--cell NAME] [--json-out P]
 
 Runs identical flit workloads through the object-model ``Network`` and
 the struct-of-arrays ``ArrayNetwork`` (``repro.noc.arraycore``), checks
@@ -11,10 +11,7 @@ the two cores produce bit-identical observables -- cycle counts,
 normalized delivery records, and every telemetry counter -- then reports
 the per-cell speedup plus a per-phase wall-time attribution from
 ``repro.perf.profiler`` (arrivals / inject / replication / switch) for
-both cores. ``--vector`` selects the array core's sweep implementation
-(``auto`` gates the whole-mesh NumPy passes on occupancy, ``on`` forces
-them, ``off`` runs the scalar fallback); ``--cell`` restricts the run to
-one cell, and ``--json-out`` writes the section to a standalone file
+both cores. ``--cell`` restricts the run to one cell, and ``--json-out`` writes the section to a standalone file
 without touching the repo-level records -- together they form the CI
 smoke that fails whenever a downsized saturated cell stops being
 bit-identical. Without those flags, human-readable output goes to
@@ -35,16 +32,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.config import RouterConfig
 from repro.noc import MeshTopology, MessageType, Network, Packet
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork
+from repro.noc.arraycore import ArrayNetwork
 from repro.noc.topology import SimplifiedMeshTopology
 from repro.perf import profiler
 from repro.validation.fuzzer import _core_digest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT_DIR = pathlib.Path(__file__).resolve().parent / "out"
-
-#: --vector choice -> ArrayNetwork(vectorize=...) argument.
-VECTOR_MODES = {"auto": None, "on": True, "off": False}
 
 
 def _mesh_workload(packets: int, spacing: int) -> list:
@@ -112,17 +106,14 @@ def _run(make_network, specs: list, core: str) -> tuple[float, tuple, dict]:
     return elapsed, digest, phases
 
 
-def _bench_cell(name: str, make_topology, specs: list, vector: str) -> dict:
+def _bench_cell(name: str, make_topology, specs: list) -> dict:
     config = RouterConfig(single_cycle=True)
-    vectorize = VECTOR_MODES[vector]
     object_s, object_digest, object_phases = _run(
         lambda: Network(make_topology(), router_config=config),
         specs, core="object",
     )
     array_s, array_digest, array_phases = _run(
-        lambda: ArrayNetwork(
-            make_topology(), router_config=config, vectorize=vectorize
-        ),
+        lambda: ArrayNetwork(make_topology(), router_config=config),
         specs, core="array",
     )
     identical = object_digest == array_digest
@@ -136,14 +127,11 @@ def _bench_cell(name: str, make_topology, specs: list, vector: str) -> dict:
         "array_s": round(array_s, 4),
         "speedup": round(object_s / array_s, 1),
         "bit_identical": identical,
-        "vector": vector,
         "phases": {"object": object_phases, "array": array_phases},
     }
 
 
-def bench_array_core(
-    packets: int, vector: str = "auto", only_cell: str | None = None
-) -> dict:
+def bench_array_core(packets: int, only_cell: str | None = None) -> dict:
     """The reference cells; returns the ``array_core`` payload section."""
     cells = [
         (
@@ -170,12 +158,11 @@ def bench_array_core(
             )
         cells = [entry for entry in cells if entry[0] == only_cell]
     results = [
-        _bench_cell(name, make_topology, specs, vector)
+        _bench_cell(name, make_topology, specs)
         for name, make_topology, specs in cells
     ]
     return {
         "packets": packets,
-        "vector": vector,
         "cells": results,
         #: Headline number: the transaction-paced cell is how the engine
         #: actually exercises the flit core (sparse protocol legs).
@@ -187,8 +174,7 @@ def bench_array_core(
 
 def render(section: dict) -> str:
     lines = [
-        "Array-core benchmark (object vs SoA wormhole core, "
-        f"vector={section['vector']})",
+        "Array-core benchmark (object vs SoA wormhole core)",
         "==================================================",
         f"{'cell':<22}  {'packets':>7}  {'cycles':>7}  "
         f"{'object':>8}  {'array':>8}  {'speedup':>7}",
@@ -221,10 +207,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--packets", type=int, default=400,
                         help="unicast packets in the mesh cell (default 400)")
-    parser.add_argument("--vector", choices=sorted(VECTOR_MODES),
-                        default="auto",
-                        help="array-core sweeps: auto-gated, forced on, "
-                             "or scalar fallback (default auto)")
     parser.add_argument("--cell", default=None,
                         help="run only this cell (e.g. mesh16_saturated)")
     parser.add_argument("--json-out", default=None,
@@ -232,13 +214,7 @@ def main(argv: list[str] | None = None) -> int:
                              "BENCH_runtime.json / out/ untouched (CI smoke)")
     args = parser.parse_args(argv)
 
-    if args.vector == "on" and not HAVE_NUMPY:
-        print("numpy unavailable: cannot force vectorized sweeps; skipping")
-        return 0
-
-    section = bench_array_core(
-        args.packets, vector=args.vector, only_cell=args.cell
-    )
+    section = bench_array_core(args.packets, only_cell=args.cell)
     text = render(section)
     print(text)
 

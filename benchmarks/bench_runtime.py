@@ -317,12 +317,9 @@ def main(argv: list[str] | None = None) -> int:
         "telemetry": bench_telemetry(args.measure),
         "windowed_telemetry": bench_windowed(args.measure),
     }
-    from repro.noc.arraycore import HAVE_NUMPY
+    from bench_arraycore import bench_array_core
 
-    if HAVE_NUMPY:
-        from bench_arraycore import bench_array_core
-
-        payload["array_core"] = bench_array_core(packets=400)
+    payload["array_core"] = bench_array_core(packets=400)
 
     text = render(payload)
     print(text)

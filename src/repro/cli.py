@@ -258,13 +258,11 @@ def cmd_validate(args: argparse.Namespace) -> str:
     from repro.validation import fuzz, run_oracle
 
     if getattr(args, "profile_phases", False):
-        from repro.noc.arraycore import HAVE_NUMPY
         from repro.perf import profiler
 
-        cores = ("object", "array") if HAVE_NUMPY else ("object",)
         return "\n".join(
             profiler.profile_load(core, seed=args.seed).render()
-            for core in cores
+            for core in ("object", "array")
         )
     if args.fuzz:
         report = fuzz(args.fuzz, seed=args.seed)
@@ -561,10 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--core", choices=CORES,
                        default="object",
                        help="flit-simulation core: the reference object "
-                            "model, the struct-of-arrays core "
-                            "(bit-identical, much faster; NumPy-"
-                            "vectorized sweeps when available), or the "
-                            "same core with its scalar sweeps pinned")
+                            "model or the struct-of-arrays core "
+                            "(bit-identical, much faster)")
         p.add_argument("--window", type=int, default=0, metavar="N",
                        help="sample windowed metric series every N "
                             "sim-cycles (0 = off); series appear in "

@@ -76,7 +76,7 @@ class NetworkStats:
 
 
 #: Recognized flit-core selectors (see :func:`make_network`).
-CORES = ("object", "array", "array-scalar")
+CORES = ("object", "array")
 
 
 def normalize_core(core: str | None) -> str:
@@ -103,20 +103,13 @@ def make_network(
     :class:`Network`; ``core="array"`` returns the struct-of-arrays
     :class:`repro.noc.arraycore.ArrayNetwork`, which is bit-identical on
     healthy workloads but supports neither checkers nor fault
-    controllers and uses its vectorized NumPy sweeps when NumPy is
-    importable; ``core="array-scalar"`` pins the array core to its
-    pure-Python scalar sweeps (the no-NumPy fallback path, also
-    bit-identical). ``window`` > 0 enables windowed metric series
-    sampled every that many sim-cycles.
+    controllers. ``window`` > 0 enables windowed metric series sampled
+    every that many sim-cycles.
     """
-    resolved = normalize_core(core)
-    if resolved != "object":
+    if normalize_core(core) == "array":
         from repro.noc.arraycore import ArrayNetwork
 
-        return ArrayNetwork(
-            topology, routing, router_config, window=window,
-            vectorize=False if resolved == "array-scalar" else None,
-        )
+        return ArrayNetwork(topology, routing, router_config, window=window)
     return Network(topology, routing, router_config, window=window)
 
 

@@ -5,12 +5,16 @@ reference ``Network``: identical cycle counts, delivery records, and
 telemetry counters for any legal workload. The sweeps here drive both
 cores over designs x traffic x seeds and assert digest equality; the
 unit tests pin the SoA plumbing (ring-buffer wraparound, pool growth,
-credit accounting, replication slot borrowing) directly.
+credit accounting, replication slot borrowing) directly, and planted
+states drive each flow-control guard of the cycle loop.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -24,13 +28,10 @@ from repro.noc import (
     Packet,
     SimplifiedMeshTopology,
 )
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork, FlitPool
+import repro.noc.arraycore as arraycore
+from repro.noc.arraycore import ArrayNetwork, FlitPool
 from repro.noc.network import make_network, normalize_core
 from repro.validation.fuzzer import _core_digest
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="array core requires numpy"
-)
 
 
 def _run_both(make_topology, packets, single_cycle=True, max_cycles=50_000):
@@ -62,7 +63,27 @@ def _unicast_stream(nodes, seed, count, spacing):
     return stream
 
 
-@needs_numpy
+def _streaming_net():
+    """A 3x1 mesh sending one five-flit wormhole end to end."""
+    net = ArrayNetwork(MeshTopology(3, 1))
+    net.inject(Packet(MessageType.WRITEBACK, (0, 0), ((2, 0),)))
+    return net
+
+
+def _next_arrival(net, head):
+    """Step until the next ``step()`` lands a head (or body) flit.
+
+    Returns the arrival's ``(router, global VC, flit)`` so a test can
+    plant state in the receiving VC just before the flit lands.
+    """
+    for _ in range(100):
+        for r, gvc, flit in net._arrivals.get(net.cycle, ()):
+            if bool(net.pool.is_head[flit]) == head:
+                return r, gvc, flit
+        net.step()
+    raise AssertionError("no such arrival within 100 cycles")
+
+
 class TestEquivalenceSweeps:
     @pytest.mark.parametrize("single_cycle", [True, False])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -111,7 +132,6 @@ class TestEquivalenceSweeps:
         assert digests["object"] == digests["array"]
 
 
-@needs_numpy
 class TestProtocolAndLoadParity:
     def test_protocol_trace_identical(self):
         from repro.noc.protocol import FlitLevelCacheProtocol
@@ -148,25 +168,17 @@ class TestCoreSelector:
         assert normalize_core(None) == "object"
         assert normalize_core("object") == "object"
         assert normalize_core("array") == "array"
-        assert normalize_core("array-scalar") == "array-scalar"
-        with pytest.raises(SimulationError):
-            normalize_core("simd")
+        for retired in ("array-scalar", "simd"):
+            with pytest.raises(SimulationError):
+                normalize_core(retired)
 
     def test_make_network_object(self):
         net = make_network(MeshTopology(2, 2), core="object")
         assert isinstance(net, Network)
 
-    @needs_numpy
     def test_make_network_array(self):
         net = make_network(MeshTopology(2, 2), core="array")
         assert isinstance(net, ArrayNetwork)
-        assert net._vector
-
-    def test_make_network_array_scalar(self):
-        # The scalar core needs no numpy: it must construct either way.
-        net = make_network(MeshTopology(2, 2), core="array-scalar")
-        assert isinstance(net, ArrayNetwork)
-        assert not net._vector
 
     def test_cellspec_records_core(self):
         from repro.experiments.common import ExperimentConfig
@@ -180,7 +192,6 @@ class TestCoreSelector:
         assert "array" in str(spec.key())
 
 
-@needs_numpy
 class TestSoAPlumbing:
     def test_flit_pool_growth_doubles(self):
         pool = FlitPool(capacity=2)
@@ -207,10 +218,36 @@ class TestSoAPlumbing:
         assert len(net.stats.deliveries) == 12
 
     def test_credit_overflow_raises(self):
-        net = ArrayNetwork(MeshTopology(2, 2))
+        # The upstream channel already holds full credit when the switch
+        # pops the flit it sent, so returning one more must overflow.
+        net = _streaming_net()
+        r, gvc, _ = _next_arrival(net, head=True)
+        vcs = net._vcs
+        p = gvc // vcs - net._unit_base[r]
+        net._credit[net._up_chan[r][p] * vcs + gvc % vcs] = net._depth
         with pytest.raises(SimulationError, match="credit overflow"):
-            for _ in range(20):
-                net._return_credit(0, 0, 0)
+            net.step()
+
+    def test_arrival_into_full_vc_overflows(self):
+        net = _streaming_net()
+        _, gvc, _ = _next_arrival(net, head=True)
+        net._vc_len[gvc] = net._depth
+        with pytest.raises(SimulationError, match="VC overflow"):
+            net.step()
+
+    def test_arriving_head_cannot_claim_a_held_vc(self):
+        net = _streaming_net()
+        _, gvc, _ = _next_arrival(net, head=True)
+        net._vc_active[gvc] = 10**9
+        with pytest.raises(SimulationError, match="entered VC held by"):
+            net.step()
+
+    def test_arriving_body_needs_its_packets_vc(self):
+        net = _streaming_net()
+        _, gvc, _ = _next_arrival(net, head=False)
+        net._vc_active[gvc] = -1
+        with pytest.raises(SimulationError, match="not allocated"):
+            net.step()
 
     def test_checkers_and_faults_unsupported(self):
         net = ArrayNetwork(MeshTopology(2, 2))
@@ -241,26 +278,31 @@ class TestSoAPlumbing:
         assert results["ArrayNetwork"][1] == 4
 
 class TestScalarFallbackEquivalence:
-    """The no-NumPy code path is proven, not just the fast one: these
-    tests monkeypatch ``HAVE_NUMPY`` off (a no-op in a genuinely
-    numpy-free environment) and hold the scalar sweeps to the same
-    bit-equivalence contract as the vectorized ones. No ``needs_numpy``
-    marker on purpose -- the scalar path must not depend on NumPy."""
+    """The array core is pure Python: these sweeps run with ``numpy``
+    blocked from import (a lazy ``import numpy`` anywhere in the cycle
+    loop would raise) and still match the object core bit for bit."""
 
     @pytest.fixture(autouse=True)
-    def _force_scalar(self, monkeypatch):
-        import repro.noc.arraycore as arraycore
-
-        monkeypatch.setattr(arraycore, "HAVE_NUMPY", False)
+    def _block_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
 
     def test_without_numpy_scalar_fallback(self):
-        # Without numpy the array core degrades to its scalar sweeps
-        # instead of refusing to construct; only forcing vectorize=True
-        # is an error.
+        tree = ast.parse(inspect.getsource(arraycore))
+        imported = {
+            alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        } | {
+            node.module.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+        }
+        assert "numpy" not in imported
         net = ArrayNetwork(MeshTopology(2, 2))
-        assert not net._vector
-        with pytest.raises(SimulationError, match="numpy"):
-            ArrayNetwork(MeshTopology(2, 2), vectorize=True)
+        net.inject(Packet(MessageType.READ_REQUEST, (0, 0), ((1, 1),)))
+        net.run_until_drained(max_cycles=100)
+        assert len(net.stats.deliveries) == 1
 
     @pytest.mark.parametrize("single_cycle", [True, False])
     def test_mesh_unicast_fallback(self, single_cycle):
@@ -284,7 +326,6 @@ class TestScalarFallbackEquivalence:
         assert digests["object"] == digests["array"]
 
 
-@needs_numpy
 class TestObservabilityEquivalence:
     """Windowed series and spatial congestion counters are part of the
     bit-equivalence contract: publishing each core into a fresh registry

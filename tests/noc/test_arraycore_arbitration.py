@@ -4,12 +4,12 @@ The full-sim equivalence sweeps only visit (occupancy, credit,
 round-robin pointer) states reachable from empty fabrics. These tests
 plant *arbitrary* table states -- random buffered heads and wormhole
 bodies, random credit counts, random rr pointers, randomly reserved
-VCs -- into the object core and both array-core sweep implementations,
-run exactly one switch-allocation phase with link traversal stubbed
-out, and require identical grant vectors, identical post-state
-(pointers, credits, VC bookkeeping), and identical counters. This pins
-the stringified-port tie-break order and the vectorized pre-filter's
-stability proof independently of any workload generator.
+VCs -- into the object core and the array core, run exactly one
+switch-allocation phase with link traversal stubbed out, and require
+identical grant vectors, identical post-state (pointers, credits, VC
+bookkeeping), and identical counters. This pins the stringified-port
+tie-break order and the fused switch sweep's commit-before-forward
+order independently of any workload generator.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.config import RouterConfig
 from repro.noc import MeshTopology, MessageType, Network, Packet
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork
+from repro.noc.arraycore import ArrayNetwork
 from repro.noc.router import EJECT, INJECT
 
 MESH = 3
@@ -159,8 +159,8 @@ def _plant_object(spec):
     return net, tag_of_pid
 
 
-def _plant_array(spec, vectorize):
-    net = ArrayNetwork(MeshTopology(MESH, MESH), vectorize=vectorize)
+def _plant_array(spec):
+    net = ArrayNetwork(MeshTopology(MESH, MESH))
     tag_of_pid = {}
     for key, planted in sorted(spec["flits"].items()):
         r, p, vc_index = key
@@ -223,8 +223,8 @@ def _run_object(spec):
     return grants, _object_state(net, tags)
 
 
-def _run_array(spec, vectorize):
-    net, tags = _plant_array(spec, vectorize)
+def _run_array(spec):
+    net, tags = _plant_array(spec)
     grants = []
 
     def record(r, forward, cycle):
@@ -337,14 +337,7 @@ class TestArbitrationEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_scalar_grants_match_object(self, spec):
         expected = _run_object(spec)
-        assert _run_array(spec, vectorize=False) == expected
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector sweeps need numpy")
-    @given(spec=table_state())
-    @settings(max_examples=60, deadline=None)
-    def test_vector_grants_match_object(self, spec):
-        expected = _run_object(spec)
-        assert _run_array(spec, vectorize=True) == expected
+        assert _run_array(spec) == expected
 
 
 class TestTieBreakPinned:
@@ -388,5 +381,4 @@ class TestTieBreakPinned:
         expected = ("flit",) + ranked[rr_out_value % len(ranked)]
         assert winners[0][3] == expected
         assert state["totals"]["conflicts"] == 1
-        for vectorize in (False, True) if HAVE_NUMPY else (False,):
-            assert _run_array(spec, vectorize=vectorize) == (grants, state)
+        assert _run_array(spec) == (grants, state)

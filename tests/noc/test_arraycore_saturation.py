@@ -1,13 +1,12 @@
 """Saturation-grade cross-core parity: the regime the paper's figures live in.
 
 The paper's headline results (figures 9-11) sit at and beyond the
-saturation knee, exactly where the vectorized sweeps earn their keep and
-where short equivalence sweeps barely tread. These tests drive all four
-execution modes -- object core, array auto, array forced-vector, array
-scalar fallback -- through long-horizon (>= 20k cycle) workloads at
-injection rates straddling the knee on mesh / simplified-mesh / halo
-fabrics, and assert *byte* equality of flit traces and windowed metric
-snapshots, not just digest equality.
+saturation knee, where the array core's fused switch sweep sees its
+densest contention and where short equivalence sweeps barely tread.
+These tests drive both flit cores through long-horizon (>= 20k cycle)
+workloads at injection rates straddling the knee on mesh /
+simplified-mesh / halo fabrics, and assert *byte* equality of flit
+traces and windowed metric snapshots, not just digest equality.
 
 Long runs are slow-marked; each fabric also gets a short tier-1 smoke
 variant with the same structure so every CI run exercises the harness.
@@ -32,30 +31,20 @@ from repro.noc import (
     SimplifiedMeshTopology,
 )
 import repro.noc.packet as packet_mod
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork
+from repro.noc.arraycore import ArrayNetwork
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.trace import JsonlTraceSink
 from repro.validation.fuzzer import _core_digest
 
 
-def _modes() -> list[str]:
-    """Execution modes available in this environment.
-
-    ``array-vector`` (forced whole-mesh sweeps) needs numpy; the other
-    three, ``array-scalar`` among them, run everywhere.
-    """
-    modes = ["object", "array-auto", "array-scalar"]
-    if HAVE_NUMPY:
-        modes.insert(2, "array-vector")
-    return modes
+#: The two flit cores; "object" is the reference the others must match.
+MODES = ("object", "array")
 
 
 def _build(mode, topology, window=0):
     if mode == "object":
         return Network(topology, window=window)
-    vectorize = {"array-auto": None, "array-vector": True,
-                 "array-scalar": False}[mode]
-    return ArrayNetwork(topology, window=window, vectorize=vectorize)
+    return ArrayNetwork(topology, window=window)
 
 
 def _inject_all(net, packets):
@@ -68,7 +57,7 @@ def _inject_all(net, packets):
 def _parity_run(make_topology, packets, window=256, max_cycles=400_000):
     """Run every mode; return {mode: (digest, snapshot_bytes, cycles)}."""
     results = {}
-    for mode in _modes():
+    for mode in MODES:
         net = _build(mode, make_topology(), window=window)
         _inject_all(net, packets)
         cycles = net.run_until_drained(max_cycles=max_cycles)
@@ -252,7 +241,7 @@ class TestSaturatedTraceEquality:
         packets = _mesh_stream(303, count=2_500, spacing=1, hotspot=0.35)
         traces = {
             mode: _trace_bytes(mode, lambda: MeshTopology(4, 4), packets)
-            for mode in _modes()
+            for mode in MODES
         }
         reference = traces["object"]
         assert reference.count(b"\n") > 2_500
@@ -287,7 +276,7 @@ class TestSaturationSmoke:
         packets = _mesh_stream(13, count=150, spacing=1, hotspot=0.35)
         traces = {
             mode: _trace_bytes(mode, lambda: MeshTopology(4, 4), packets)
-            for mode in _modes()
+            for mode in MODES
         }
         reference = traces["object"]
         assert reference.count(b"\n") > 150

@@ -9,7 +9,6 @@ driver attributes nonzero time to every phase on both cores.
 import pytest
 
 from repro.noc import MeshTopology, MessageType, Network, Packet
-from repro.noc.arraycore import HAVE_NUMPY
 from repro.perf import profiler
 
 
@@ -99,7 +98,6 @@ class TestProfileShape:
             assert phase in text
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array core requires numpy")
 class TestArrayCore:
     def test_profile_load_covers_the_array_core(self):
         profile = profiler.profile_load("array", mesh_size=3, cycles=40)

@@ -109,6 +109,25 @@ class TestDeterminism:
         arr = _snapshot(_run(design, mix="duo-bursty", core="array"))
         assert obj == arr
 
+    def test_cores_agree_past_saturation(self):
+        # The serve-overload regime: offered load well past what design C
+        # serves, so the fabric stays congested for the whole run and
+        # the array core's per-cycle series and switch sweep see
+        # sustained contention.
+        snapshots = {}
+        for core in ("object", "array"):
+            service = StreamService(
+                "C", core=core, window=64, policy="drop-tail"
+            )
+            cycles = 4000
+            requests = generate_arrivals(
+                tenant_mix("trio-mixed", 2.0), cycles, seed=1
+            )
+            service.run(requests, cycles)
+            assert sum(service.rejected.values()) > 0
+            snapshots[core] = _snapshot(service)
+        assert snapshots["object"] == snapshots["array"]
+
 
 class TestReporting:
     def test_published_names_cover_the_contract(self):
