@@ -40,7 +40,7 @@ _WALLCLOCK = frozenset({
 
 #: Monotonic/process clocks: fine for wall-cost metadata in the
 #: orchestration layer (``RunResult.wall_s`` is ``compare=False``), but
-#: inside the simulation core the only clock is ``Simulator.now``.
+#: inside the simulation core the only clock is the simulated cycle.
 _MONOTONIC = frozenset({
     "time.perf_counter",
     "time.perf_counter_ns",
@@ -127,7 +127,7 @@ class WallClockRule(Rule):
                 yield self.finding(
                     info, node,
                     f"{origin}() inside the simulation core; the only clock "
-                    "here is Simulator.now (cycles)",
+                    "here is the simulated cycle count",
                 )
 
 

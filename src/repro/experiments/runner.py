@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro import telemetry
 from repro.core.system import NetworkedCacheSystem, RunResult
@@ -595,26 +595,3 @@ def _run_pool(
                 return [spec for spec, _ in futures[i:]]
             commit(spec, result)
     return []
-
-
-def run_grid(
-    designs: Iterable[str],
-    schemes: Iterable[str],
-    benchmarks: Iterable[str],
-    config: ExperimentConfig,
-    **kwargs: Any,
-) -> dict[tuple[str, str, str], RunResult]:
-    """Evaluate the full (design, scheme, benchmark) cross product.
-
-    Returns a dict keyed by the coordinate triple, in deterministic
-    row-major order (designs outermost, benchmarks innermost).
-    """
-    coords = [
-        (design, scheme, benchmark)
-        for design in designs
-        for scheme in schemes
-        for benchmark in benchmarks
-    ]
-    specs = [spec_for(d, s, b, config) for d, s, b in coords]
-    results = run_cells(specs, **kwargs)
-    return dict(zip(coords, results))

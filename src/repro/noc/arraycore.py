@@ -1,9 +1,12 @@
 """Struct-of-arrays wormhole core: the object model without the objects.
 
-:class:`ArrayNetwork` reimplements :class:`repro.noc.network.Network` /
-:class:`repro.noc.router.Router` with every piece of hot state -- flits,
-VC bookkeeping, FIFO slots, credits -- held in flat preallocated lists
-indexed by small integers instead of per-flit / per-VC Python objects:
+:class:`ArrayNetwork` is the second cycle behind the shared
+:class:`repro.noc.network.FlitNetwork` front end: it simulates the same
+:class:`repro.noc.router.Router` microarchitecture as the object core's
+:class:`~repro.noc.network.Network`, with every piece of hot state --
+flits, VC bookkeeping, FIFO slots, credits -- held in flat preallocated
+lists indexed by small integers instead of per-flit / per-VC Python
+objects:
 
 * routers, ports, and destinations become dense integer ids derived from
   the topology in the *same iteration order* the object core uses, so
@@ -12,7 +15,7 @@ indexed by small integers instead of per-flit / per-VC Python objects:
   ``u`` is global VC ``u * num_vcs + v`` and owns ``buffer_depth``
   contiguous slots of one flat ring-buffer list;
 * flits live in a growable struct-of-arrays pool (parallel list
-  columns); a "flit" is an integer row index;
+  columns); a "flit" is an integer row index, recycled when it ejects;
 * route lookups go through a lazily filled flat next-hop table, one
   entry per (router, destination) pair.
 
@@ -23,10 +26,11 @@ the switch phase is one fused per-router sweep (VC scan, route and VC
 allocation, arbitration, commit, pop) over locals hoisted once per
 cycle, and link arrivals push straight into the ring buffers -- see
 DESIGN.md section 13. The loop only visits routers that actually hold
-flits, and :meth:`ArrayNetwork.run_until_drained` fast-forwards across
-cycles where the fabric is provably idle (nothing buffered, nothing to
-inject) -- both are pure reorderings of no-ops, so counters and timings
-match the object core bit for bit.
+flits, and :meth:`ArrayNetwork._idle_until` lets the front end's
+``run_until_drained`` fast-forward across cycles where the fabric is
+provably idle (nothing buffered, nothing to inject) -- both are pure
+reorderings of no-ops, so counters and timings match the object core
+bit for bit.
 
 The equivalence contract is enforced by ``tests/noc/test_arraycore.py``,
 ``tests/noc/test_arraycore_saturation.py``,
@@ -40,16 +44,16 @@ intentionally unsupported here; install them on the object core.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, NoReturn
+from typing import Any, NoReturn
 
 from repro.config import RouterConfig
 from repro.errors import ProtocolError, SimulationError
-from repro.noc.network import Delivery, NetworkStats
+from repro.noc.network import FlitNetwork, HeldVC
 from repro.noc.packet import Packet
 from repro.noc.router import INJECT
-from repro.noc.routing import RouteComputer, routing_for
+from repro.noc.routing import RouteComputer
 from repro.noc.topology import NodeId, Topology
-from repro.telemetry import trace as _trace
+from repro.telemetry.registry import MetricsRegistry
 
 #: Sentinel in the next-hop table: route not computed yet.
 _UNROUTED = -9
@@ -59,6 +63,11 @@ _INVALID_BASE = -100
 
 #: A switch-allocation candidate: (in_local, out_local, out_vc, flit, gvc).
 _Cand = tuple[int, int, int, int, int]
+#: A queued injection: (packet, destination ids, flit count).
+_Queued = tuple[Packet, tuple[int, ...], int]
+
+#: Placeholder in the packet column of rows never allocated.
+_NO_PACKET: Any = None
 
 
 class FlitPool:
@@ -66,19 +75,27 @@ class FlitPool:
 
     Columns mirror :class:`repro.noc.flit.Flit` minus the identity
     fields the simulation never branches on (``flit_id`` is repr-only in
-    the object core). ``destinations`` holds tuples of *destination node
-    ids* (ints), empty for body/tail flits; ``dest0`` / ``is_mc``
-    denormalize its first element and multicast bit so the switch sweep
-    never touches the tuple for a unicast head. ``group_node`` caches
-    which router the ``groups`` column was computed for (-1 = stale).
+    the object core). ``packet`` holds the flit's :class:`Packet`;
+    ``destinations`` holds tuples of *destination node ids* (ints),
+    empty for body/tail flits; ``dest0`` / ``is_mc`` denormalize its
+    first element and multicast bit so the switch sweep never touches
+    the tuple for a unicast head. ``group_node`` caches which router the
+    ``groups`` column was computed for (-1 = stale).
+
+    Every row ejects exactly once, so :meth:`free` hands it back and
+    :meth:`alloc` reuses freed rows before growing: the pool stays as
+    large as the most flits ever live at once, not the run's total.
     """
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
             raise SimulationError("flit pool capacity must be positive")
         self.capacity = capacity
+        #: Rows ever handed out (the high-water row index + 1).
         self.size = 0
-        self.packet: list[int] = [0] * capacity
+        #: Rows handed back by :meth:`free`, reused last-in first-out.
+        self._free: list[int] = []
+        self.packet: list[Packet] = [_NO_PACKET] * capacity
         self.is_head: list[int] = [0] * capacity
         self.is_tail: list[int] = [0] * capacity
         self.index: list[int] = [0] * capacity
@@ -96,21 +113,27 @@ class FlitPool:
         self.group_node: list[int] = [0] * capacity
         self.groups: list[list[tuple[int, tuple[int, ...]]]] = [[]] * capacity
 
+    @property
+    def in_use(self) -> int:
+        """Rows allocated and not yet freed."""
+        return self.size - len(self._free)
+
     def _grow(self) -> None:
         extra = self.capacity
         for column in (
-            self.packet, self.is_head, self.is_tail, self.index,
-            self.injected_at, self.hops, self.eligible_at, self.dest0,
-            self.is_mc, self.group_node,
+            self.is_head, self.is_tail, self.index, self.injected_at,
+            self.hops, self.eligible_at, self.dest0, self.is_mc,
+            self.group_node,
         ):
             column.extend([0] * extra)
+        self.packet.extend([_NO_PACKET] * extra)
         self.destinations.extend([()] * extra)
         self.groups.extend([[]] * extra)
         self.capacity += extra
 
     def alloc(
         self,
-        packet_row: int,
+        packet: Packet,
         head: bool,
         tail: bool,
         index: int,
@@ -119,12 +142,15 @@ class FlitPool:
         hops: int,
         eligible_at: int,
     ) -> int:
-        """Append one flit row; doubles the buffers when full."""
-        if self.size == self.capacity:
-            self._grow()
-        f = self.size
-        self.size = f + 1
-        self.packet[f] = packet_row
+        """Fill a freed row, or append one (doubling the buffers when full)."""
+        if self._free:
+            f = self._free.pop()
+        else:
+            if self.size == self.capacity:
+                self._grow()
+            f = self.size
+            self.size = f + 1
+        self.packet[f] = packet
         self.is_head[f] = 1 if head else 0
         self.is_tail[f] = 1 if tail else 0
         self.index[f] = index
@@ -137,6 +163,10 @@ class FlitPool:
         self.group_node[f] = -1
         return f
 
+    def free(self, flit: int) -> None:
+        """Hand back an ejected flit's row for reuse."""
+        self._free.append(flit)
+
     def narrow(self, flit: int, destinations: tuple[int, ...]) -> None:
         """Replace a head flit's destination set (multicast splitting)."""
         self.destinations[flit] = destinations
@@ -145,12 +175,11 @@ class FlitPool:
         self.group_node[flit] = -1
 
 
-class ArrayNetwork:
-    """Drop-in flit-level network on the struct-of-arrays core.
+class ArrayNetwork(FlitNetwork):
+    """Flit-level network on the struct-of-arrays core.
 
-    Mirrors the :class:`~repro.noc.network.Network` client API (inject,
-    timed injections, step/run/run_until_drained, delivery callbacks,
-    stats, metrics) and is bit-identical to it on every healthy
+    Shares the :class:`~repro.noc.network.FlitNetwork` front end with
+    the object core and is bit-identical to it on every healthy
     workload.
     """
 
@@ -161,9 +190,7 @@ class ArrayNetwork:
         router_config: RouterConfig | None = None,
         window: int = 0,
     ) -> None:
-        self.topology = topology
-        self.routing = routing or routing_for(topology)
-        self.router_config = router_config or RouterConfig()
+        super().__init__(topology, routing, router_config, window)
         cfg = self.router_config
         self._vcs = cfg.num_vcs
         self._depth = cfg.buffer_depth
@@ -179,8 +206,6 @@ class ArrayNetwork:
         n = len(self._nodes)
         self._geometry()
 
-        self.cycle = 0
-        self.stats = NetworkStats()
         # Router-level counters, summed across the fabric (the object
         # core only ever exposes them summed or per-run totals).
         self.flits_forwarded = 0
@@ -193,10 +218,6 @@ class ArrayNetwork:
         self.speculative_switch_wins = 0
 
         self.pool = FlitPool()
-        #: Packet rows: the real Packet objects (deliveries hand them back).
-        self._packets: list[Packet] = []
-        self._packet_dests: list[tuple[int, ...]] = []
-        self._packet_nflits: list[int] = []
 
         #: Lazily filled next-hop table: the local output per (router,
         #: destination) pair, ``_UNROUTED`` until first asked.
@@ -204,36 +225,16 @@ class ArrayNetwork:
 
         #: cycle -> [(dst_router, dst global VC, flit)] link arrivals
         self._arrivals: dict[int, list[tuple[int, int, int]]] = {}
-        #: router -> FIFO of packet rows awaiting the inject port; entries
+        #: router -> FIFO of packets awaiting the inject port; entries
         #: are created on first use and persist when drained (iteration
         #: order matches the object core's defaultdict).
-        self._inject_queues: dict[int, deque[int]] = {}
+        self._inject_queues: dict[int, deque[_Queued]] = {}
         #: Routers whose inject queue is currently non-empty.
         self._inject_ready: set[int] = set()
-        #: cycle -> [(packet, node)] future injections
-        self._timed_injections: dict[int, list[tuple[Packet, NodeId | None]]] = {}
         #: (router, packet_id) -> (remaining flit rows, target global VC)
         self._inject_progress: dict[tuple[int, int], tuple[deque[int], int]] = {}
-        #: (packet_id, destination id) -> flits still to eject there
-        self._pending_ejects: dict[tuple[int, int], int] = {}
-        self._eject_meta: dict[tuple[int, int], Packet] = {}
-        self._delivered_callbacks: list[Callable[[Delivery], None]] = []
-        self._lost_callbacks: list[Callable[[Packet, tuple, str], None]] = []
-        self._wakeup_sources: list[Callable[[], int | None]] = []
         #: Routers currently buffering at least one flit.
         self._active: set[int] = set()
-        self._sink = _trace.current_sink()
-        #: High-water packet depth of each router's inject queue.
-        self._inject_depth_hw: dict[int, int] = {}
-        #: Windowed metric series keyed by sim-cycle windows; None when
-        #: off (same names/windows as the object core via make_noc_series).
-        self.window = int(window)
-        if self.window > 0:
-            from repro.noc.network import make_noc_series
-
-            self._series = make_noc_series(self.window)
-        else:
-            self._series = None
 
     # -- static geometry ----------------------------------------------------
 
@@ -374,14 +375,6 @@ class ArrayNetwork:
 
     # -- client API ---------------------------------------------------------
 
-    def set_trace_sink(self, sink: Any) -> None:
-        """Swap the flit-event trace sink (None = the null sink)."""
-        self._sink = sink if sink is not None else _trace.NULL_SINK
-
-    def on_delivery(self, callback: Callable[[Delivery], None]) -> None:
-        """Register ``callback(delivery)`` fired on each packet delivery."""
-        self._delivered_callbacks.append(callback)
-
     def install_checker(self, checker: Any) -> None:
         """Invariant checkers hook per-object router state; the SoA core
         has none. Run checked workloads on the object core instead."""
@@ -391,7 +384,7 @@ class ArrayNetwork:
         )
 
     @property
-    def checkers(self) -> tuple:
+    def checkers(self) -> tuple[Any, ...]:
         return ()
 
     def install_fault_controller(self, controller: Any) -> None:
@@ -405,26 +398,6 @@ class ArrayNetwork:
     def fault_controller(self) -> None:
         return None
 
-    def on_packet_lost(self, callback: Callable[[Packet, tuple, str], None]) -> None:
-        """Accepted for API parity; the array core never loses packets
-        (no fault controller can be installed)."""
-        self._lost_callbacks.append(callback)
-
-    def register_wakeup_source(self, source: Callable[[], int | None]) -> None:
-        """Register a zero-arg callable returning the next cycle at which
-        new work appears (or ``None``); see :meth:`next_wakeup`."""
-        self._wakeup_sources.append(source)
-
-    def schedule_injection(
-        self, packet: Packet, at_cycle: int, node: NodeId | None = None
-    ) -> None:
-        """Queue *packet* for injection at a future cycle."""
-        if at_cycle < self.cycle:
-            raise SimulationError(
-                f"cannot inject at {at_cycle}; current cycle is {self.cycle}"
-            )
-        self._timed_injections.setdefault(at_cycle, []).append((packet, node))
-
     def inject(self, packet: Packet, node: NodeId | None = None) -> None:
         """Queue *packet* for injection at *node* (default: its source)."""
         target = packet.source if node is None else node
@@ -437,42 +410,20 @@ class ArrayNetwork:
             raise SimulationError(
                 f"destination {exc.args[0]} not in topology"
             ) from None
-        packet.created_at = self.cycle
-        row = len(self._packets)
-        self._packets.append(packet)
-        self._packet_dests.append(dests)
-        self._packet_nflits.append(int(packet.num_flits))
         queue = self._inject_queues.get(r)
         if queue is None:
             queue = deque()
             self._inject_queues[r] = queue
-        queue.append(row)
+        queue.append((packet, dests, packet.num_flits))
         self._inject_ready.add(r)
-        if len(queue) > self._inject_depth_hw.get(r, 0):
-            self._inject_depth_hw[r] = len(queue)
-        self.stats.packets_injected += 1
-        if self._sink.enabled:
-            self._sink.instant(
-                "inject", "noc.flit", self.cycle, tid=target,
-                args={"packet": packet.packet_id,
-                      "destinations": [str(d) for d in packet.destinations]},
-            )
-        nflits = self._packet_nflits[row]
-        pid = int(packet.packet_id)
-        for dest in dests:
-            key = (pid, dest)
-            self._pending_ejects[key] = nflits
-            self._eject_meta[key] = packet
+        self._accept(packet, target, len(queue))
 
     # -- cycle loop ---------------------------------------------------------
 
     def step(self) -> None:
         """Advance the network one clock cycle."""
         cycle = self.cycle
-        timed = self._timed_injections.pop(cycle, None)
-        if timed is not None:
-            for packet, node in timed:
-                self.inject(packet, node)
+        self._inject_timed(cycle)
         self._deliver_arrivals(cycle)
         self._inject_phase(cycle)
         if self._active:
@@ -482,183 +433,56 @@ class ArrayNetwork:
         self.cycle = cycle + 1
         self.stats.cycles = self.cycle
 
-    def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
+    # -- front-end hooks ----------------------------------------------------
 
-    def run_until_drained(self, max_cycles: int = 100_000) -> int:
-        """Step until every injected packet has been fully delivered.
+    def _injecting(self) -> bool:
+        return bool(self._inject_ready) or bool(self._inject_progress)
 
-        Identical contract to the object core, plus an idle fast-forward:
-        when nothing is buffered or waiting to inject, every cycle until
-        the next arrival / timed injection is a no-op, so the clock jumps
-        straight there (capped so the *max_cycles* timeout still fires at
-        the same cycle it would have).
-        """
-        start = self.cycle
-        while self._pending_ejects or self._queues_nonempty():
-            if self.cycle - start >= max_cycles:
-                raise SimulationError(
-                    f"network did not drain within {max_cycles} cycles; "
-                    f"{len(self._pending_ejects)} deliveries outstanding\n"
-                    + self.drain_diagnostic()
-                )
-            if (
-                not self._active
-                and not self._inject_progress
-                and not self._inject_ready
-            ):
-                horizon = start + max_cycles
-                target = horizon
-                if self._arrivals:
-                    target = min(min(self._arrivals), target)
-                if self._timed_injections:
-                    target = min(min(self._timed_injections), target)
-                if target > self.cycle:
-                    self.cycle = target
-                    self.stats.cycles = self.cycle
-                    continue
-            self.step()
-        return self.cycle - start
+    def _idle_until(self, horizon: int) -> int:
+        """With nothing buffered or waiting to inject, every cycle until
+        the next arrival or timed injection is a no-op: jump there."""
+        if self._active or self._inject_progress or self._inject_ready:
+            return self.cycle
+        target = horizon
+        if self._arrivals:
+            target = min(min(self._arrivals), target)
+        if self._timed_injections:
+            target = min(min(self._timed_injections), target)
+        return target
 
-    # -- inspection ---------------------------------------------------------
-
-    def idle(self) -> bool:
-        """True when no flit is buffered, in flight, or awaiting injection."""
-        return (
-            not self._pending_ejects
-            and not self._queues_nonempty()
-            and not self._arrivals
-        )
-
-    def pending_work(self) -> bool:
-        """True while any injected packet still has flits to deliver."""
-        return bool(self._pending_ejects) or self._queues_nonempty()
-
-    def next_timed_injection(self) -> int | None:
-        """Earliest cycle a scheduled future injection fires (None = none)."""
-        return min(self._timed_injections) if self._timed_injections else None
-
-    def next_wakeup(self) -> int | None:
-        """Earliest cycle at which new work appears in an idle network."""
-        times = [self.next_timed_injection()]
-        times.extend(source() for source in self._wakeup_sources)
-        live = [t for t in times if t is not None]
-        return min(live) if live else None
-
-    def dropped_flits(self) -> int:
-        """Always zero: fault injection cannot run on the array core."""
-        return self.stats.flits_dropped
-
-    def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
-        """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
-        return sorted(
-            (
-                (pid, self._nodes[dest], n)
-                for (pid, dest), n in self._pending_ejects.items()
-            ),
-            key=str,
-        )
-
-    def in_flight_flits(self) -> int:
-        """Flits currently crossing links (scheduled future arrivals)."""
-        return sum(len(batch) for batch in self._arrivals.values())
-
-    def total_buffered_flits(self) -> int:
-        return sum(self._router_occ)
-
-    def total_replications(self) -> int:
-        return self.replications
-
-    def total_replication_blocked(self) -> int:
-        return self.replication_blocked_cycles
-
-    def drain_diagnostic(self) -> str:
-        """Human-readable snapshot of why the network has not drained."""
-        lines = [f"drain diagnostic at cycle {self.cycle}:"]
-        undelivered = self.outstanding_deliveries()
-        lines.append(f"  undelivered deliveries ({len(undelivered)}):")
-        for pid, dst, remaining in undelivered[:50]:
-            meta = self._eject_meta.get((pid, self._node_index[dst]))
-            kind = meta.message.value if meta is not None else "?"
-            lines.append(
-                f"    packet {pid} ({kind}) -> {dst}: "
-                f"{remaining} flit(s) outstanding"
-            )
-        if len(undelivered) > 50:
-            lines.append(f"    ... and {len(undelivered) - 50} more")
-        holders = sorted((r for r in self._active), key=lambda r: str(self._nodes[r]))
-        lines.append(f"  routers holding traffic ({len(holders)}):")
-        vcs = self._vcs
-        for r in holders:
-            for p in range(self._inject_local[r] + 1):
-                unit = self._unit_base[r] + p
-                port = INJECT if p == self._inject_local[r] else (
-                    self._nodes[self._in_nodes[r][p]]
-                )
-                for vc in range(vcs):
-                    gvc = unit * vcs + vc
-                    if not self._vc_len[gvc] and self._vc_active[gvc] < 0:
-                        continue
-                    if self._vc_len[gvc]:
-                        head = self._slots[gvc * self._depth + self._vc_head[gvc]]
-                        pid = self._packets[self.pool.packet[head]].packet_id
-                        state = f"{self._vc_len[gvc]} flit(s) of packet {pid}"
-                    else:
-                        state = f"reserved for packet {self._vc_active[gvc]}"
-                    lines.append(
-                        f"    router {self._nodes[r]} in_port {port} "
-                        f"vc {vc}: {state}"
-                    )
+    def _inject_backlog(
+        self,
+    ) -> tuple[dict[NodeId, list[int]], list[tuple[str, int]]]:
         queued = {
-            self._nodes[r]: [self._packets[row].packet_id for row in queue]
+            self._nodes[r]: [entry[0].packet_id for entry in queue]
             for r, queue in self._inject_queues.items()
             if queue
         }
-        if queued:
-            lines.append(f"  inject queues: {queued}")
-        if self._inject_progress:
-            lines.append(
-                "  partially injected: "
-                + str(
-                    sorted(
-                        (str(self._nodes[r]), pid)
-                        for r, pid in self._inject_progress
-                    )
-                )
-            )
-        in_flight = self.in_flight_flits()
-        if in_flight:
-            lines.append(f"  flits on wires: {in_flight}")
-        if self._timed_injections:
-            lines.append(
-                f"  next timed injection at cycle {self.next_timed_injection()}"
-            )
-        return "\n".join(lines)
+        partial = [(str(self._nodes[r]), pid) for r, pid in self._inject_progress]
+        return queued, partial
 
-    def publish_metrics(self, registry: Any) -> None:
-        """Export the same metric names/values as the object core."""
-        registry.counter("noc.network.cycles").inc(self.stats.cycles)
-        registry.counter("noc.network.packets_injected").inc(
-            self.stats.packets_injected
-        )
-        registry.counter("noc.network.flits_injected").inc(
-            self.stats.flits_injected
-        )
-        registry.counter("noc.network.packets_delivered").inc(
-            self.stats.packets_delivered
-        )
-        registry.gauge("noc.network.max_latency").update_max(
-            self.stats.max_latency
-        )
-        if self.stats.flits_dropped:
-            registry.counter("noc.network.flits_dropped").inc(
-                self.stats.flits_dropped
-            )
-        if self.stats.packets_lost:
-            registry.counter("noc.network.packets_lost").inc(
-                self.stats.packets_lost
-            )
+    def _held_vcs(self) -> list[HeldVC]:
+        vcs = self._vcs
+        held: list[HeldVC] = []
+        for r in sorted(range(len(self._nodes)), key=lambda r: str(self._nodes[r])):
+            for p in range(self._inject_local[r] + 1):
+                port = self._port(r, p)
+                for vc in range(vcs):
+                    gvc = (self._unit_base[r] + p) * vcs + vc
+                    flits = self._vc_len[gvc]
+                    if flits:
+                        head = self._slots[gvc * self._depth + self._vc_head[gvc]]
+                        pid = self.pool.packet[head].packet_id
+                    elif self._vc_active[gvc] >= 0:
+                        pid = self._vc_active[gvc]
+                    else:
+                        continue
+                    held.append((self._nodes[r], port, vc, flits, pid, False))
+        return held
+
+    def _publish_fabric(self, registry: MetricsRegistry) -> None:
+        """Emit the router, link and per-(router, port, vc) metrics
+        bit-identically to the object core's ``Router.publish_metrics``."""
         prefix = "noc.router"
         registry.counter(f"{prefix}.flits_forwarded").inc(self.flits_forwarded)
         registry.counter(f"{prefix}.flits_ejected").inc(self.flits_ejected)
@@ -678,13 +502,6 @@ class ArrayNetwork:
         )
         occupancy = registry.gauge("noc.buffer.max_occupancy")
         occupancy.update_max(max(self._vc_max_occ, default=0))
-        self._publish_spatial(registry)
-
-    def _publish_spatial(self, registry: Any) -> None:
-        """Emit the per-(router, port, vc) metrics bit-identically to the
-        object core's ``Router._publish_spatial`` / network-level block."""
-        from repro.noc.network import publish_noc_series
-
         vcs = self._vcs
         nodes = self._nodes
         for r, node in enumerate(nodes):
@@ -693,11 +510,7 @@ class ArrayNetwork:
                     f"noc.router.replication_blocked.{node}"
                 ).inc(self._repl_blocked[r])
             for p in range(self._inject_local[r] + 1):
-                port: Any = (
-                    INJECT
-                    if p == self._inject_local[r]
-                    else nodes[self._in_nodes[r][p]]
-                )
+                port = self._port(r, p)
                 base = (self._unit_base[r] + p) * vcs
                 for vc in range(vcs):
                     occ = self._vc_max_occ[base + vc]
@@ -707,40 +520,35 @@ class ArrayNetwork:
                         ).update_max(occ)
             for out_local, dst in enumerate(self._out_nodes[r]):
                 chan = self._chan_base[r] + out_local
-                out_port = nodes[dst]
                 for vc in range(vcs):
                     stalls = self._credit_stall[chan * vcs + vc]
                     if stalls:
                         registry.counter(
                             "noc.vc.credit_stall_cycles."
-                            f"{node}->{out_port}.vc{vc}"
+                            f"{node}->{nodes[dst]}.vc{vc}"
                         ).inc(stalls)
-        for r, node in enumerate(nodes):
-            for out_local, dst in enumerate(self._out_nodes[r]):
-                count = self._link_flits[self._chan_base[r] + out_local]
+                count = self._link_flits[chan]
                 if count:
                     registry.counter(
                         f"noc.link.flits.{node}->{nodes[dst]}"
                     ).inc(count)
-        hub = getattr(self.topology, "core_attach", None)
-        hub_r = self._node_index.get(hub) if hub is not None else None
-        for r in self._inject_depth_hw:
-            depth = self._inject_depth_hw[r]
-            registry.gauge(
-                f"noc.inject_queue.max_depth.{nodes[r]}"
-            ).update_max(depth)
-            if r == hub_r:
-                registry.gauge("noc.hub.issue_queue_depth").update_max(depth)
-        publish_noc_series(registry, self._series)
+
+    def total_buffered_flits(self) -> int:
+        return sum(self._router_occ)
+
+    def total_replications(self) -> int:
+        return self.replications
+
+    def total_replication_blocked(self) -> int:
+        return self.replication_blocked_cycles
 
     # -- internals ----------------------------------------------------------
 
-    def _queues_nonempty(self) -> bool:
-        return (
-            bool(self._inject_ready)
-            or bool(self._inject_progress)
-            or bool(self._timed_injections)
-        )
+    def _port(self, r: int, p: int) -> object:
+        """The object core's name for local input *p* of router *r*."""
+        if p == self._inject_local[r]:
+            return INJECT
+        return self._nodes[self._in_nodes[r][p]]
 
     def _push(self, r: int, gvc: int, flit: int) -> None:
         """Buffer a flit in a VC; head flits claim the VC."""
@@ -750,7 +558,7 @@ class ArrayNetwork:
                 f"VC overflow at router {self._nodes[r]} gvc {gvc}: "
                 "credit flow control violated"
             )
-        pid = self._packets[self.pool.packet[flit]].packet_id
+        pid = self.pool.packet[flit].packet_id
         active = self._vc_active[gvc]
         if self.pool.is_head[flit]:
             if active >= 0 and active != pid:
@@ -817,67 +625,27 @@ class ArrayNetwork:
     # -- link traversal (arrival delivery) ----------------------------------
 
     def _deliver_arrivals(self, cycle: int) -> None:
-        """Land this cycle's link arrivals: :meth:`_push`, inlined."""
+        """Land this cycle's link arrivals in their VCs."""
         batch = self._arrivals.pop(cycle, None)
         if batch is None:
             return
-        vcs = self._vcs
-        depth = self._depth
-        pool = self.pool
-        pool_packet = pool.packet
-        is_head = pool.is_head
-        eligible_at = pool.eligible_at
-        packets = self._packets
-        vc_len = self._vc_len
-        vc_active = self._vc_active
-        vc_max_occ = self._vc_max_occ
-        unit_len = self._unit_len
-        router_occ = self._router_occ
+        eligible_at = self.pool.eligible_at
         ready_at = cycle + self._hop_wait
+        push = self._push
         sink = self._sink
         for r, gvc, flit in batch:
             eligible_at[flit] = ready_at
-            length = vc_len[gvc]
-            if length >= depth:
-                raise SimulationError(
-                    f"VC overflow at router {self._nodes[r]} gvc {gvc}: "
-                    "credit flow control violated"
-                )
-            pid = packets[pool_packet[flit]].packet_id
-            active = vc_active[gvc]
-            if is_head[flit]:
-                if active >= 0 and active != pid:
-                    raise SimulationError(
-                        f"head flit of packet {pid} entered VC held by "
-                        f"packet {active}"
-                    )
-                vc_active[gvc] = pid
-            elif active != pid:
-                raise SimulationError(
-                    "body flit entered a VC not allocated to its packet"
-                )
-            self._slots[gvc * depth + (self._vc_head[gvc] + length) % depth] = flit
-            length += 1
-            vc_len[gvc] = length
-            if length > vc_max_occ[gvc]:
-                vc_max_occ[gvc] = length
-            unit_len[gvc // vcs] += 1
-            if pool.is_mc[flit]:
-                self._router_mc[r] += 1
-                self._mc_total += 1
-            occ = router_occ[r] + 1
-            router_occ[r] = occ
-            if occ == 1:
-                self._active.add(r)
+            push(r, gvc, flit)
             if sink.enabled:
+                vcs = self._vcs
                 p = gvc // vcs - self._unit_base[r]
                 sink.instant(
                     "traverse", "noc.flit", cycle, tid=self._nodes[r],
                     args={
-                        "packet": pid,
+                        "packet": self.pool.packet[flit].packet_id,
                         "vc": gvc % vcs,
                         "from": str(self._nodes[self._in_nodes[r][p]]),
-                        "hops": pool.hops[flit],
+                        "hops": self.pool.hops[flit],
                     },
                 )
 
@@ -927,13 +695,11 @@ class ArrayNetwork:
                     break
             else:
                 continue
-            row = queue.popleft()
+            packet, dests, nflits = queue.popleft()
             if not queue:
                 ready.discard(r)
-            nflits = self._packet_nflits[row]
             head = pool.alloc(
-                row, True, nflits == 1, 0, self._packet_dests[row], cycle,
-                0, ready_at,
+                packet, True, nflits == 1, 0, dests, cycle, 0, ready_at
             )
             self._push(r, free, head)
             injected += 1
@@ -942,11 +708,10 @@ class ArrayNetwork:
                 for i in range(1, nflits):
                     rest.append(
                         pool.alloc(
-                            row, False, i == nflits - 1, i, (), cycle, 0, 0
+                            packet, False, i == nflits - 1, i, (), cycle, 0, 0
                         )
                     )
-                pid = int(self._packets[row].packet_id)
-                progress[(r, pid)] = (rest, free)
+                progress[(r, packet.packet_id)] = (rest, free)
         if injected:
             self.stats.flits_injected += injected
             if self._series is not None:
@@ -1019,10 +784,10 @@ class ArrayNetwork:
         if len(keep_dsts) <= 1:  # the kept group is no longer a multicast
             self._router_mc[r] -= 1
             self._mc_total -= 1
-        row = pool.packet[flit]
+        packet = pool.packet[flit]
         for borrow_p, borrow_gvc, destinations in borrowed:
             replica = pool.alloc(
-                row, True, True, pool.index[flit], destinations,
+                packet, True, True, pool.index[flit], destinations,
                 pool.injected_at[flit], pool.hops[flit], cycle + 1,
             )
             if borrow_p != self._inject_local[r]:
@@ -1105,7 +870,6 @@ class ArrayNetwork:
         dest0 = pool.dest0
         hops = pool.hops
         eligible_at = pool.eligible_at
-        packets = self._packets
         vc_len = self._vc_len
         vc_head = self._vc_head
         vc_active = self._vc_active
@@ -1257,7 +1021,7 @@ class ArrayNetwork:
                         vc_out_local[gvc] = out_local
                         vc_out_vc[gvc] = out_vc
                     vc_active[down_unit[out_local] * vcs + out_vc] = (
-                        packets[pool_packet[flit]].packet_id
+                        pool_packet[flit].packet_id
                     )
             occ = router_occ[r] - len(winners)
             router_occ[r] = occ
@@ -1320,7 +1084,15 @@ class ArrayNetwork:
         """Send one committed winner on: eject it, or put it on its link."""
         _, out_local, out_vc, flit, _ = forward
         if out_local == self._eject_local[r]:
-            self._eject(r, flit, cycle)
+            pool = self.pool
+            nodes = self._nodes
+            dests = pool.destinations[flit]
+            self._eject_flit(
+                nodes[r], pool.packet[flit],
+                [nodes[d] for d in dests] if dests else (nodes[r],),
+                pool.injected_at[flit], pool.hops[flit], cycle,
+            )
+            pool.free(flit)
             return
         self._link_flits[self._chan_base[r] + out_local] += 1
         dst, unit, delay = self._link[r][out_local]
@@ -1330,52 +1102,3 @@ class ArrayNetwork:
             self._arrivals[cycle + delay] = [entry]
         else:
             batch.append(entry)
-
-    def _eject(self, r: int, flit: int, cycle: int) -> None:
-        pool = self.pool
-        ejected_at = cycle + 1  # crossing the ejection channel
-        packet = self._packets[pool.packet[flit]]
-        if self._sink.enabled:
-            self._sink.instant(
-                "eject", "noc.flit", ejected_at, tid=self._nodes[r],
-                args={"packet": packet.packet_id, "hops": pool.hops[flit]},
-            )
-        pid = int(packet.packet_id)
-        for dest in pool.destinations[flit] or (r,):
-            key = (pid, dest)
-            if key not in self._pending_ejects:
-                raise SimulationError(
-                    f"unexpected ejection of packet {pid} at {self._nodes[dest]}"
-                )
-            remaining = self._pending_ejects[key] - 1
-            if remaining:
-                self._pending_ejects[key] = remaining
-                continue
-            del self._pending_ejects[key]
-            meta = self._eject_meta.pop(key)
-            injected = pool.injected_at[flit]
-            delivery = Delivery(
-                packet=meta,
-                destination=self._nodes[dest],
-                injected_at=injected if injected else int(meta.created_at),
-                delivered_at=ejected_at,
-                hops=pool.hops[flit],
-            )
-            self.stats.deliveries.append(delivery)
-            if self._series is not None:
-                self._series["noc.series.packets_delivered"].record(
-                    delivery.delivered_at
-                )
-                self._series["noc.series.latency"].record(
-                    delivery.delivered_at, delivery.latency
-                )
-            if self._sink.enabled:
-                self._sink.complete(
-                    "packet", "noc.packet", delivery.injected_at,
-                    delivery.latency, tid=self._nodes[dest],
-                    args={"packet": meta.packet_id,
-                          "source": str(meta.source),
-                          "hops": delivery.hops},
-                )
-            for callback in self._delivered_callbacks:
-                callback(delivery)

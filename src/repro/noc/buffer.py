@@ -84,10 +84,14 @@ class VirtualChannel:
             raise SimulationError("pop from empty VC")
         flit = self.fifo.popleft()
         if flit.kind.is_tail:
-            self.active_packet = None
-            self.out_port = None
-            self.out_vc = None
+            self.release()
         return flit
+
+    def release(self) -> None:
+        """Drop the VC's packet reservation and its allocated route."""
+        self.active_packet = None
+        self.out_port = None
+        self.out_vc = None
 
 
 def make_input_unit(port: object, num_vcs: int, depth: int) -> list[VirtualChannel]:

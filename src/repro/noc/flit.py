@@ -53,7 +53,6 @@ class Flit:
     destinations: tuple[object, ...] = ()
     flit_id: int = field(default_factory=lambda: next(_flit_ids))
     injected_at: int | None = None
-    ejected_at: int | None = None
     hops: int = 0
     #: First cycle the flit may compete for switch allocation (set on
     #: arrival; models the non-switch pipeline stages of the router).

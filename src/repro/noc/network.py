@@ -1,30 +1,33 @@
-"""Cycle-accurate flit-level network simulator.
+"""Flit-level network front end and the reference object-model core.
 
-Ties :class:`~repro.noc.router.Router` instances together over a
-:class:`~repro.noc.topology.Topology`, moves flits across links with their
-wire delays, tracks injection queues, and records per-packet delivery
-statistics. One :meth:`Network.step` is one clock cycle.
+:class:`FlitNetwork` is the core-independent half of a flit-level
+network: the timed-injection schedule, the pending-eject bookkeeping and
+:class:`Delivery` records, the run/drain loops with their diagnostic, and
+the network-level metrics. Two cores inherit it and supply only the
+cycle. :class:`Network` here ties :class:`~repro.noc.router.Router`
+objects together over a :class:`~repro.noc.topology.Topology` and moves
+flit objects across links with their wire delays;
+:class:`repro.noc.arraycore.ArrayNetwork` runs the same cycle over flat
+lists. One ``step()`` is one clock cycle on either core.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.config import RouterConfig
 from repro.errors import SimulationError
-from repro.noc.flit import Flit
 from repro.noc.packet import Packet
 from repro.noc.router import EJECT, INJECT, Router
 from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import NodeId, Topology
 from repro.telemetry import trace as _trace
+from repro.telemetry.registry import LATENCY_SLO_EDGES, MetricsRegistry, Series
 
 if TYPE_CHECKING:
     from repro.noc.arraycore import ArrayNetwork
-    from repro.telemetry.registry import Series
-
 
 @dataclass
 class Delivery:
@@ -99,8 +102,9 @@ def make_network(
 ) -> "Network | ArrayNetwork":
     """Build a flit-level network on the selected simulation core.
 
-    ``core="object"`` (the default) returns the reference
-    :class:`Network`; ``core="array"`` returns the struct-of-arrays
+    Both cores share the :class:`FlitNetwork` front end and differ only
+    in how a cycle is simulated. ``core="object"`` (the default) returns
+    the reference :class:`Network`; ``core="array"`` returns
     :class:`repro.noc.arraycore.ArrayNetwork`, which is bit-identical on
     healthy workloads but supports neither checkers nor fault
     controllers. ``window`` > 0 enables windowed metric series sampled
@@ -113,36 +117,26 @@ def make_network(
     return Network(topology, routing, router_config, window=window)
 
 
-def make_noc_series(window: int) -> dict[str, "Series"]:
-    """The windowed series both flit cores record, keyed by metric name.
+#: A VC listed by the drain diagnostic: (router, input port, VC index,
+#: flits buffered, packet buffered or holding the reservation, failed).
+HeldVC = tuple[NodeId, object, int, int, int, bool]
 
-    Shared so the two cores cannot drift: same names, same windows, same
-    aggregations, same (fixed) latency edges.
+
+class FlitNetwork:
+    """The core-independent front end of a flit-level network.
+
+    Owns what a client sees regardless of how a cycle is simulated: the
+    timed-injection schedule and wakeup sources, the pending-eject
+    bookkeeping and the :class:`Delivery` record (stats, windowed series,
+    trace-sink events, callbacks), the run and drain loops with their
+    diagnostic, and the network-level metrics. A core supplies
+    :meth:`step` and :meth:`inject` plus the hooks :meth:`_injecting`,
+    :meth:`_inject_backlog`, :meth:`_held_vcs`, :meth:`_publish_fabric`
+    and, optionally, :meth:`_idle_until`.
     """
-    from repro.telemetry.registry import LATENCY_SLO_EDGES, Series
 
-    return {
-        "noc.series.flits_injected": Series(window),
-        "noc.series.flits_forwarded": Series(window),
-        "noc.series.flits_ejected": Series(window),
-        "noc.series.packets_delivered": Series(window),
-        "noc.series.latency": Series(window, "hist", LATENCY_SLO_EDGES),
-    }
-
-
-def publish_noc_series(registry, series: dict[str, "Series"] | None) -> None:
-    """Merge a core's windowed series into *registry* (no-op when off)."""
-    if not series:
-        return
-    for name in sorted(series):
-        local = series[name]
-        registry.series(name, local.window, local.agg, local.edges).merge(
-            local.snapshot()
-        )
-
-
-class Network:
-    """A complete flit-level on-chip network instance."""
+    #: cycle -> link arrivals, in the core's own entry format
+    _arrivals: dict[int, list[Any]]
 
     def __init__(
         self,
@@ -154,59 +148,361 @@ class Network:
         self.topology = topology
         self.routing = routing or routing_for(topology)
         self.router_config = router_config or RouterConfig()
+        self.cycle = 0
+        self.stats = NetworkStats()
+        #: cycle -> [(packet, node)] future injections (protocol timing)
+        self._timed_injections: dict[int, list[tuple[Packet, NodeId | None]]] = {}
+        #: (packet_id, destination) -> flits still to eject there
+        self._pending_ejects: dict[tuple[int, NodeId], int] = {}
+        self._eject_meta: dict[tuple[int, NodeId], Packet] = {}
+        self._delivered_callbacks: list[Callable[[Delivery], None]] = []
+        #: Zero-arg callables returning the next cycle at which an idle
+        #: network has scheduled work (retry deadlines, fault activations).
+        self._wakeup_sources: list[Callable[[], int | None]] = []
+        #: Trace sink captured at construction; the NullSink fast path
+        #: reduces every per-flit event site to one attribute check.
+        self._sink: _trace.TraceSink = _trace.current_sink()
+        #: High-water packet depth of each router's inject queue.
+        self._inject_depth_hw: dict[NodeId, int] = {}
+        #: Windowed metric series keyed by sim-cycle windows; None when
+        #: off, so every recording site costs one identity test.
+        self.window = int(window)
+        self._series: dict[str, Series] | None = None
+        if self.window > 0:
+            self._series = {
+                "noc.series.flits_injected": Series(self.window),
+                "noc.series.flits_forwarded": Series(self.window),
+                "noc.series.flits_ejected": Series(self.window),
+                "noc.series.packets_delivered": Series(self.window),
+                "noc.series.latency": Series(
+                    self.window, "hist", LATENCY_SLO_EDGES
+                ),
+            }
+
+    # -- the cycle and its hooks (supplied by a core) -----------------------
+
+    def step(self) -> None:
+        """Advance the network one clock cycle."""
+        raise NotImplementedError
+
+    def inject(self, packet: Packet, node: NodeId | None = None) -> None:
+        """Queue *packet* for injection at *node* (default: its source)."""
+        raise NotImplementedError
+
+    def _injecting(self) -> bool:
+        """True while a packet is queued or partly injected at a router."""
+        raise NotImplementedError
+
+    def _inject_backlog(
+        self,
+    ) -> tuple[dict[NodeId, list[int]], list[tuple[str, int]]]:
+        """Queued packet ids per router, and (router, packet id) pairs of
+        partly injected wormholes."""
+        raise NotImplementedError
+
+    def _held_vcs(self) -> list[HeldVC]:
+        """Every VC buffering a flit or reserved for a packet, routers in
+        ``str`` order and VCs in input-port order."""
+        raise NotImplementedError
+
+    def _publish_fabric(self, registry: MetricsRegistry) -> None:
+        """Export the router, link and VC metrics."""
+        raise NotImplementedError
+
+    def _idle_until(self, horizon: int) -> int:
+        """The cycle :meth:`run_until_drained` may jump to without
+        stepping (at most *horizon*); the current cycle means step."""
+        return self.cycle
+
+    # -- client API ---------------------------------------------------------
+
+    def set_trace_sink(self, sink: _trace.TraceSink | None) -> None:
+        """Swap the flit-event trace sink (None = the null sink)."""
+        self._sink = sink if sink is not None else _trace.NULL_SINK
+
+    def on_delivery(self, callback: Callable[[Delivery], None]) -> None:
+        """Register ``callback(delivery)`` fired on each packet delivery."""
+        self._delivered_callbacks.append(callback)
+
+    def register_wakeup_source(self, source: Callable[[], int | None]) -> None:
+        """Register a zero-arg callable returning the next cycle at which
+        new work appears (or ``None``); see :meth:`next_wakeup`."""
+        self._wakeup_sources.append(source)
+
+    def schedule_injection(
+        self, packet: Packet, at_cycle: int, node: NodeId | None = None
+    ) -> None:
+        """Queue *packet* for injection at a future cycle (e.g. after a
+        bank's tag-match latency in a protocol simulation)."""
+        if at_cycle < self.cycle:
+            raise SimulationError(
+                f"cannot inject at {at_cycle}; current cycle is {self.cycle}"
+            )
+        self._timed_injections.setdefault(at_cycle, []).append((packet, node))
+
+    def run(self, cycles: int) -> None:
+        for _ in range(cycles):
+            self.step()
+
+    def run_until_drained(self, max_cycles: int = 100_000) -> int:
+        """Step until every injected packet has been fully delivered.
+
+        Returns the cycle count consumed. Raises if the network fails to
+        drain within *max_cycles* (e.g. a deadlock or livelock). A core
+        may jump across cycles it proves idle (:meth:`_idle_until`); the
+        timeout still fires at the same cycle.
+        """
+        start = self.cycle
+        horizon = start + max_cycles
+        while self.pending_work():
+            if self.cycle >= horizon:
+                raise SimulationError(
+                    f"network did not drain within {max_cycles} cycles; "
+                    f"{len(self._pending_ejects)} deliveries outstanding\n"
+                    + self.drain_diagnostic()
+                )
+            target = self._idle_until(horizon)
+            if target > self.cycle:
+                self.cycle = self.stats.cycles = target
+                continue
+            self.step()
+        return self.cycle - start
+
+    def drain_diagnostic(self) -> str:
+        """Human-readable snapshot of why the network has not drained.
+
+        Lists undelivered packets (id, destination, flits remaining), the
+        exact VC each buffered flit sits in, queued injections, flits on
+        wires, and the routers currently holding traffic.
+        """
+        lines = [f"drain diagnostic at cycle {self.cycle}:"]
+        undelivered = self.outstanding_deliveries()
+        lines.append(f"  undelivered deliveries ({len(undelivered)}):")
+        for pid, dst, remaining in undelivered[:50]:
+            meta = self._eject_meta.get((pid, dst))
+            kind = meta.message.value if meta is not None else "?"
+            lines.append(
+                f"    packet {pid} ({kind}) -> {dst}: "
+                f"{remaining} flit(s) outstanding"
+            )
+        if len(undelivered) > 50:
+            lines.append(f"    ... and {len(undelivered) - 50} more")
+        held = self._held_vcs()
+        routers = len({row[0] for row in held})
+        lines.append(f"  routers holding traffic ({routers}):")
+        for node, port, vc, flits, pid, failed in held:
+            state = (
+                f"{flits} flit(s) of packet {pid}"
+                if flits
+                else f"reserved for packet {pid}"
+            )
+            lines.append(
+                f"    router {node} in_port {port} vc {vc}: {state}"
+                + (" [failed]" if failed else "")
+            )
+        queued, partial = self._inject_backlog()
+        if queued:
+            lines.append(f"  inject queues: {queued}")
+        if partial:
+            lines.append(f"  partially injected: {sorted(partial)}")
+        in_flight = self.in_flight_flits()
+        if in_flight:
+            lines.append(f"  flits on wires: {in_flight}")
+        if self._timed_injections:
+            lines.append(
+                f"  next timed injection at cycle {self.next_timed_injection()}"
+            )
+        return "\n".join(lines)
+
+    def idle(self) -> bool:
+        """True when no flit is buffered, in flight, or awaiting injection."""
+        return not self._arrivals and not self.pending_work()
+
+    def pending_work(self) -> bool:
+        """True while any injected packet still has flits to deliver."""
+        return (
+            bool(self._pending_ejects)
+            or bool(self._timed_injections)
+            or self._injecting()
+        )
+
+    def next_timed_injection(self) -> int | None:
+        """Earliest cycle a scheduled future injection fires (None = none)."""
+        return min(self._timed_injections) if self._timed_injections else None
+
+    def next_wakeup(self) -> int | None:
+        """Earliest cycle at which new work appears in an idle network:
+        timed injections plus any registered wakeup source (fault
+        activations, retry deadlines)."""
+        times = [self.next_timed_injection()]
+        times.extend(source() for source in self._wakeup_sources)
+        live = [t for t in times if t is not None]
+        return min(live) if live else None
+
+    def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
+        """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
+        return sorted(
+            ((pid, dst, n) for (pid, dst), n in self._pending_ejects.items()),
+            key=str,
+        )
+
+    def in_flight_flits(self) -> int:
+        """Flits currently crossing links (scheduled future arrivals)."""
+        return sum(len(batch) for batch in self._arrivals.values())
+
+    def publish_metrics(self, registry: MetricsRegistry) -> None:
+        """Export network-level counters, the core's router/link/VC
+        metrics, inject-queue depths, and the windowed series."""
+        stats = self.stats
+        registry.counter("noc.network.cycles").inc(stats.cycles)
+        registry.counter("noc.network.packets_injected").inc(
+            stats.packets_injected
+        )
+        registry.counter("noc.network.flits_injected").inc(stats.flits_injected)
+        registry.counter("noc.network.packets_delivered").inc(
+            stats.packets_delivered
+        )
+        registry.gauge("noc.network.max_latency").update_max(stats.max_latency)
+        if stats.flits_dropped:
+            registry.counter("noc.network.flits_dropped").inc(
+                stats.flits_dropped
+            )
+        if stats.packets_lost:
+            registry.counter("noc.network.packets_lost").inc(stats.packets_lost)
+        self._publish_fabric(registry)
+        hub = getattr(self.topology, "core_attach", None)
+        for node in sorted(self._inject_depth_hw, key=str):
+            depth = self._inject_depth_hw[node]
+            registry.gauge(f"noc.inject_queue.max_depth.{node}").update_max(
+                depth
+            )
+            if node == hub:
+                registry.gauge("noc.hub.issue_queue_depth").update_max(depth)
+        series = self._series or {}
+        for name in sorted(series):
+            local = series[name]
+            registry.series(name, local.window, local.agg, local.edges).merge(
+                local.snapshot()
+            )
+
+    # -- shared bookkeeping for the cores -----------------------------------
+
+    def _inject_timed(self, cycle: int) -> None:
+        """Inject every packet scheduled for *cycle*."""
+        timed = self._timed_injections.pop(cycle, None)
+        if timed is not None:
+            for packet, node in timed:
+                self.inject(packet, node)
+
+    def _accept(self, packet: Packet, node: NodeId, depth: int) -> None:
+        """Record *packet* joining *node*'s inject queue, now *depth* deep."""
+        packet.created_at = self.cycle
+        if depth > self._inject_depth_hw.get(node, 0):
+            self._inject_depth_hw[node] = depth
+        self.stats.packets_injected += 1
+        if self._sink.enabled:
+            self._sink.instant(
+                "inject", "noc.flit", self.cycle, tid=node,
+                args={"packet": packet.packet_id,
+                      "destinations": [str(d) for d in packet.destinations]},
+            )
+        nflits = packet.num_flits
+        for destination in packet.destinations:
+            key = (packet.packet_id, destination)
+            self._pending_ejects[key] = nflits
+            self._eject_meta[key] = packet
+
+    def _eject_flit(
+        self,
+        node: NodeId,
+        packet: Packet,
+        destinations: Iterable[NodeId],
+        injected_at: int | None,
+        hops: int,
+        cycle: int,
+    ) -> None:
+        """Count one flit of *packet* ejected at *node* for each of its
+        *destinations*; the last flit owed to one records a delivery."""
+        delivered_at = cycle + 1  # crossing the ejection channel
+        pid = packet.packet_id
+        sink = self._sink
+        if sink.enabled:
+            sink.instant(
+                "eject", "noc.flit", delivered_at, tid=node,
+                args={"packet": pid, "hops": hops},
+            )
+        pending = self._pending_ejects
+        for destination in destinations:
+            key = (pid, destination)
+            remaining = pending.get(key)
+            if remaining is None:
+                raise SimulationError(
+                    f"unexpected ejection of packet {pid} at {destination}"
+                )
+            if remaining > 1:
+                pending[key] = remaining - 1
+                continue
+            del pending[key]
+            meta = self._eject_meta.pop(key)
+            delivery = Delivery(
+                packet=meta,
+                destination=destination,
+                injected_at=injected_at or meta.created_at,
+                delivered_at=delivered_at,
+                hops=hops,
+            )
+            self.stats.deliveries.append(delivery)
+            if self._series is not None:
+                self._series["noc.series.packets_delivered"].record(
+                    delivered_at
+                )
+                self._series["noc.series.latency"].record(
+                    delivered_at, delivery.latency
+                )
+            if sink.enabled:
+                sink.complete(
+                    "packet", "noc.packet", delivery.injected_at,
+                    delivery.latency, tid=destination,
+                    args={"packet": pid,
+                          "source": str(meta.source),
+                          "hops": hops},
+                )
+            for callback in self._delivered_callbacks:
+                callback(delivery)
+
+
+class Network(FlitNetwork):
+    """The reference flit-level network core: one object per router,
+    VC and flit."""
+
+    def __init__(
+        self,
+        topology: Topology,
+        routing: RouteComputer | None = None,
+        router_config: RouterConfig | None = None,
+        window: int = 0,
+    ) -> None:
+        super().__init__(topology, routing, router_config, window)
         self.routers: dict[NodeId, Router] = {
             node: Router(node, topology, self.routing, self.router_config)
             for node in topology.nodes
         }
         for router in self.routers.values():
             router.connect(self.routers)
-
-        self.cycle = 0
-        self.stats = NetworkStats()
         #: cycle -> list of (node, in_port, vc_index, flit) arrivals
-        self._arrivals: dict[int, list] = defaultdict(list)
+        self._arrivals = defaultdict(list)
         #: per-router FIFO of packets waiting to enter the inject port
         self._inject_queues: dict[NodeId, deque] = defaultdict(deque)
-        #: cycle -> [(packet, node)] future injections (protocol timing)
-        self._timed_injections: dict[int, list] = defaultdict(list)
         #: (node, packet) -> flits remaining to inject
         self._inject_progress: dict[tuple[NodeId, int], deque] = {}
-        #: (packet_id, destination) -> flits still to eject there
-        self._pending_ejects: dict[tuple[int, NodeId], int] = {}
-        self._eject_meta: dict[tuple[int, NodeId], Packet] = {}
-        self._delivered_callbacks: list = []
         #: Installed validation checkers (see repro.validation.invariants);
         #: empty in normal runs so the hook sites cost one truthiness test.
         self._checkers: list = []
         #: Installed fault controller (see repro.faults.models); None in
         #: healthy runs so every hook site costs one identity test.
         self._fault = None
-        #: ``callback(packet, destinations, reason)`` fired on packet loss.
-        self._lost_callbacks: list = []
-        #: Zero-arg callables returning the next cycle at which an idle
-        #: network has scheduled work (retry deadlines, fault activations).
-        self._wakeup_sources: list = []
-        #: Trace sink captured at construction; the NullSink fast path
-        #: reduces every per-flit event site to one attribute check.
-        self._sink = _trace.current_sink()
         #: Flits placed on each (src, dst) wire -- per-link utilization.
         self._link_flits: dict[tuple[NodeId, NodeId], int] = {}
-        #: High-water packet depth of each router's inject queue.
-        self._inject_depth_hw: dict[NodeId, int] = {}
-        #: Windowed metric series keyed by sim-cycle windows; None when
-        #: off, so every recording site costs one identity test.
-        self.window = int(window)
-        self._series = make_noc_series(self.window) if self.window > 0 else None
-
-    def set_trace_sink(self, sink) -> None:
-        """Swap the flit-event trace sink (None = the null sink)."""
-        self._sink = sink if sink is not None else _trace.NULL_SINK
-
-    # -- client API ---------------------------------------------------------
-
-    def on_delivery(self, callback) -> None:
-        """Register ``callback(delivery)`` fired on each packet delivery."""
-        self._delivered_callbacks.append(callback)
 
     def install_checker(self, checker) -> None:
         """Attach a validation checker to this network and its routers.
@@ -244,54 +540,16 @@ class Network:
     def fault_controller(self):
         return self._fault
 
-    def on_packet_lost(self, callback) -> None:
-        """Register ``callback(packet, destinations, reason)`` fired when a
-        fault destroys a packet's chance of delivering to *destinations*."""
-        self._lost_callbacks.append(callback)
-
-    def register_wakeup_source(self, source) -> None:
-        """Register a zero-arg callable returning the next cycle at which
-        new work appears (or ``None``); see :meth:`next_wakeup`."""
-        self._wakeup_sources.append(source)
-
-    def schedule_injection(
-        self, packet: Packet, at_cycle: int, node: NodeId | None = None
-    ) -> None:
-        """Queue *packet* for injection at a future cycle (e.g. after a
-        bank's tag-match latency in a protocol simulation)."""
-        if at_cycle < self.cycle:
-            raise SimulationError(
-                f"cannot inject at {at_cycle}; current cycle is {self.cycle}"
-            )
-        self._timed_injections[at_cycle].append((packet, node))
-
     def inject(self, packet: Packet, node: NodeId | None = None) -> None:
         """Queue *packet* for injection at *node* (default: its source)."""
         node = packet.source if node is None else node
         if node not in self.routers:
             raise SimulationError(f"injection node {node} not in topology")
         if self._fault is not None and not self._fault.admit(self, packet, node):
-            # Never entered the fabric: no flits, credits, or pending
-            # ejects to unwind -- just tell the loss listeners.
-            for callback in self._lost_callbacks:
-                callback(packet, packet.destinations, "rejected_at_injection")
-            return
-        packet.created_at = self.cycle
+            return  # never entered the fabric: nothing to unwind
         queue = self._inject_queues[node]
         queue.append(packet)
-        if len(queue) > self._inject_depth_hw.get(node, 0):
-            self._inject_depth_hw[node] = len(queue)
-        self.stats.packets_injected += 1
-        if self._sink.enabled:
-            self._sink.instant(
-                "inject", "noc.flit", self.cycle, tid=node,
-                args={"packet": packet.packet_id,
-                      "destinations": [str(d) for d in packet.destinations]},
-            )
-        for destination in packet.destinations:
-            key = (packet.packet_id, destination)
-            self._pending_ejects[key] = packet.num_flits
-            self._eject_meta[key] = packet
+        self._accept(packet, node, len(queue))
         for checker in self._checkers:
             checker.on_inject(self, packet)
 
@@ -300,8 +558,7 @@ class Network:
         cycle = self.cycle
         if self._fault is not None:
             self._fault.on_cycle_start(self, cycle)
-        for packet, node in self._timed_injections.pop(cycle, ()):
-            self.inject(packet, node)
+        self._inject_timed(cycle)
         self._deliver_arrivals(cycle)
         self._inject_phase(cycle)
         self._replication_phase(cycle)
@@ -322,139 +579,43 @@ class Network:
             for forward in router.switch_phase(cycle):
                 self._handle_forward(node, forward, cycle)
 
-    def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
+    # -- front-end hooks ----------------------------------------------------
 
-    def run_until_drained(self, max_cycles: int = 100_000) -> int:
-        """Step until every injected packet has been fully delivered.
+    def _injecting(self) -> bool:
+        return any(self._inject_queues.values()) or bool(self._inject_progress)
 
-        Returns the cycle count consumed. Raises if the network fails to
-        drain within *max_cycles* (e.g. a deadlock or livelock).
-        """
-        start = self.cycle
-        while self._pending_ejects or self._inject_queues_nonempty():
-            if self.cycle - start >= max_cycles:
-                raise SimulationError(
-                    f"network did not drain within {max_cycles} cycles; "
-                    f"{len(self._pending_ejects)} deliveries outstanding\n"
-                    + self.drain_diagnostic()
-                )
-            self.step()
-        return self.cycle - start
-
-    def drain_diagnostic(self) -> str:
-        """Human-readable snapshot of why the network has not drained.
-
-        Lists undelivered packets (id, destination, flits remaining), the
-        exact VC each buffered flit sits in, queued injections, flits on
-        wires, and the routers currently holding traffic.
-        """
-        lines = [f"drain diagnostic at cycle {self.cycle}:"]
-        undelivered = self.outstanding_deliveries()
-        lines.append(f"  undelivered deliveries ({len(undelivered)}):")
-        for pid, dst, remaining in undelivered[:50]:
-            meta = self._eject_meta.get((pid, dst))
-            kind = meta.message.value if meta is not None else "?"
-            lines.append(
-                f"    packet {pid} ({kind}) -> {dst}: "
-                f"{remaining} flit(s) outstanding"
-            )
-        if len(undelivered) > 50:
-            lines.append(f"    ... and {len(undelivered) - 50} more")
-        stalled = []
-        for node in sorted(self.routers, key=str):
-            router = self.routers[node]
-            held = [
-                (port, vc)
-                for port, unit in router.inputs.items()
-                for vc in unit
-                if vc.fifo or vc.active_packet is not None
-            ]
-            if held:
-                stalled.append((node, held))
-        lines.append(f"  routers holding traffic ({len(stalled)}):")
-        for node, held in stalled:
-            for port, vc in held:
-                head = vc.head()
-                state = (
-                    f"{len(vc.fifo)} flit(s) of packet {head.packet.packet_id}"
-                    if head is not None
-                    else f"reserved for packet {vc.active_packet}"
-                )
-                lines.append(
-                    f"    router {node} in_port {port} vc {vc.index}: {state}"
-                    + (" [failed]" if vc.failed else "")
-                )
+    def _inject_backlog(self):
         queued = {
             node: [p.packet_id for p in queue]
             for node, queue in self._inject_queues.items()
             if queue
         }
-        if queued:
-            lines.append(f"  inject queues: {queued}")
-        if self._inject_progress:
-            lines.append(
-                "  partially injected: "
-                + str(sorted((str(n), pid) for n, pid in self._inject_progress))
+        return queued, [(str(n), pid) for n, pid in self._inject_progress]
+
+    def _held_vcs(self):
+        held = []
+        for node in sorted(self.routers, key=str):
+            for port, unit in self.routers[node].inputs.items():
+                for vc in unit:
+                    head = vc.head()
+                    if head is not None:
+                        held.append((node, port, vc.index, len(vc.fifo),
+                                     head.packet.packet_id, vc.failed))
+                    elif vc.active_packet is not None:
+                        held.append((node, port, vc.index, 0,
+                                     vc.active_packet, vc.failed))
+        return held
+
+    def _publish_fabric(self, registry) -> None:
+        for node in sorted(self.routers, key=str):
+            self.routers[node].publish_metrics(registry)
+        for link in sorted(self._link_flits, key=str):
+            src, dst = link
+            registry.counter(f"noc.link.flits.{src}->{dst}").inc(
+                self._link_flits[link]
             )
-        in_flight = self.in_flight_flits()
-        if in_flight:
-            lines.append(f"  flits on wires: {in_flight}")
-        if self._timed_injections:
-            lines.append(
-                f"  next timed injection at cycle {self.next_timed_injection()}"
-            )
-        return "\n".join(lines)
-
-    def idle(self) -> bool:
-        """True when no flit is buffered, in flight, or awaiting injection."""
-        return (
-            not self._pending_ejects
-            and not self._inject_queues_nonempty()
-            and not self._arrivals
-        )
-
-    def pending_work(self) -> bool:
-        """True while any injected packet still has flits to deliver."""
-        return bool(self._pending_ejects) or self._inject_queues_nonempty()
-
-    def next_timed_injection(self) -> int | None:
-        """Earliest cycle a scheduled future injection fires (None = none)."""
-        return min(self._timed_injections) if self._timed_injections else None
-
-    def next_wakeup(self) -> int | None:
-        """Earliest cycle at which new work appears in an idle network:
-        timed injections plus any registered wakeup source (fault
-        activations, retry deadlines)."""
-        times = [self.next_timed_injection()]
-        times.extend(source() for source in self._wakeup_sources)
-        live = [t for t in times if t is not None]
-        return min(live) if live else None
-
-    def dropped_flits(self) -> int:
-        """Flits destroyed by fault injection so far."""
-        return self.stats.flits_dropped
-
-    def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
-        """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
-        return sorted(
-            ((pid, dst, n) for (pid, dst), n in self._pending_ejects.items()),
-            key=str,
-        )
-
-    def in_flight_flits(self) -> int:
-        """Flits currently crossing links (scheduled future arrivals)."""
-        return sum(len(batch) for batch in self._arrivals.values())
 
     # -- internals ------------------------------------------------------------
-
-    def _inject_queues_nonempty(self) -> bool:
-        return (
-            any(self._inject_queues.values())
-            or bool(self._inject_progress)
-            or bool(self._timed_injections)
-        )
 
     def _deliver_arrivals(self, cycle: int) -> None:
         for node, in_port, vc_index, flit in self._arrivals.pop(cycle, ()):  # noqa: B020
@@ -536,6 +697,12 @@ class Network:
             (forward.out_port, node, forward.out_vc, flit)
         )
 
+    def _eject(self, node: NodeId, flit, cycle: int) -> None:
+        self._eject_flit(
+            node, flit.packet, flit.destinations or (node,),
+            flit.injected_at, flit.hops, cycle,
+        )
+
     # -- fault handling -----------------------------------------------------
 
     def _drop_forward(self, node: NodeId, forward, reason: str) -> None:
@@ -548,15 +715,10 @@ class Network:
         flit = forward.flit
         self.routers[node].return_credit(forward.out_port, forward.out_vc)
         if flit.kind.is_head:
-            downstream_vc = (
-                self.routers[forward.out_port].inputs[node][forward.out_vc]
+            self._unreserve(
+                self.routers[forward.out_port].inputs[node][forward.out_vc],
+                flit.packet.packet_id,
             )
-            if downstream_vc.active_packet == flit.packet.packet_id and (
-                not downstream_vc.fifo
-            ):
-                downstream_vc.active_packet = None
-                downstream_vc.out_port = None
-                downstream_vc.out_vc = None
         self.stats.flits_dropped += 1
         if self._sink.enabled:
             self._sink.instant(
@@ -593,14 +755,7 @@ class Network:
             if head.packet.num_flits > 1:
                 self.purge_packet(head.packet, reason)
             else:
-                count = len(vc.fifo)
-                vc.fifo.clear()
-                self.stats.flits_dropped += count
-                if in_port != INJECT:
-                    upstream = self.routers[node].upstream.get(in_port)
-                    if upstream is not None:
-                        for _ in range(count):
-                            upstream.return_credit(node, vc.index)
+                self._flush_vc(self.routers[node], in_port, vc)
                 self._cancel_deliveries(head.packet, head.destinations, reason)
         doomed = [
             entry
@@ -615,9 +770,7 @@ class Network:
             packet = self._packet_by_id(vc.active_packet)
             if packet is not None:
                 self.purge_packet(packet, reason)
-            vc.active_packet = None
-            vc.out_port = None
-            vc.out_vc = None
+            vc.release()
 
     def _destroy_wire_flits(self, doomed: list, reason: str) -> None:
         for entry in doomed:
@@ -629,14 +782,30 @@ class Network:
                 continue
             self.routers[sender].return_credit(dst, vc_index)
             self.stats.flits_dropped += 1
-            down_vc = self.routers[dst].inputs[sender][vc_index]
-            if down_vc.active_packet == flit.packet.packet_id and (
-                not down_vc.fifo
-            ):
-                down_vc.active_packet = None
-                down_vc.out_port = None
-                down_vc.out_vc = None
+            self._unreserve(
+                self.routers[dst].inputs[sender][vc_index],
+                flit.packet.packet_id,
+            )
             self._cancel_deliveries(flit.packet, flit.destinations, reason)
+
+    @staticmethod
+    def _unreserve(vc, pid: int) -> None:
+        """Release *vc* if a destroyed flit of packet *pid* reserved it
+        and nothing of the packet has reached it yet."""
+        if vc.active_packet == pid and not vc.fifo:
+            vc.release()
+
+    def _flush_vc(self, router: Router, port, vc) -> None:
+        """Destroy every flit buffered in *vc*, returning each one's
+        credit upstream as the pop that will now never happen would."""
+        count = len(vc.fifo)
+        vc.fifo.clear()
+        self.stats.flits_dropped += count
+        if port != INJECT:
+            upstream = router.upstream.get(port)
+            if upstream is not None:
+                for _ in range(count):
+                    upstream.return_credit(router.node, vc.index)
 
     def _remove_arrival(self, entry) -> bool:
         for arrival, batch in list(self._arrivals.items()):
@@ -660,7 +829,7 @@ class Network:
         synthesized credit return per buffered/in-flight flit (mirroring the
         pop that will now never happen), VC reservations held by the packet
         are released, and its remaining delivery expectations are cancelled
-        with an ``on_packet_lost`` notification.
+        with an ``on_packet_lost`` notification to the installed checkers.
         """
         pid = packet.packet_id
         for queue in self._inject_queues.values():
@@ -696,20 +865,9 @@ class Network:
             for port, unit in router.inputs.items():
                 for vc in unit:
                     if vc.fifo and vc.fifo[0].packet.packet_id == pid:
-                        count = len(vc.fifo)
-                        vc.fifo.clear()
-                        self.stats.flits_dropped += count
-                        if port != INJECT:
-                            upstream = router.upstream.get(port)
-                            if upstream is not None:
-                                for _ in range(count):
-                                    upstream.return_credit(
-                                        router.node, vc.index
-                                    )
+                        self._flush_vc(router, port, vc)
                     if vc.active_packet == pid:
-                        vc.active_packet = None
-                        vc.out_port = None
-                        vc.out_vc = None
+                        vc.release()
         lost = tuple(
             dst for (p, dst) in self._pending_ejects if p == pid
         )
@@ -732,94 +890,6 @@ class Network:
         lost = tuple(lost)
         for checker in self._checkers:
             checker.on_packet_lost(self, packet, lost)
-        for callback in self._lost_callbacks:
-            callback(packet, lost, reason)
-
-    def _eject(self, node: NodeId, flit: Flit, cycle: int) -> None:
-        flit.ejected_at = cycle + 1  # crossing the ejection channel
-        if self._sink.enabled:
-            self._sink.instant(
-                "eject", "noc.flit", flit.ejected_at, tid=node,
-                args={"packet": flit.packet.packet_id, "hops": flit.hops},
-            )
-        for destination in flit.destinations or (node,):
-            key = (flit.packet.packet_id, destination)
-            if key not in self._pending_ejects:
-                raise SimulationError(
-                    f"unexpected ejection of packet {flit.packet.packet_id} "
-                    f"at {destination}"
-                )
-            self._pending_ejects[key] -= 1
-            if self._pending_ejects[key] == 0:
-                del self._pending_ejects[key]
-                packet = self._eject_meta.pop(key)
-                delivery = Delivery(
-                    packet=packet,
-                    destination=destination,
-                    injected_at=flit.injected_at or packet.created_at,
-                    delivered_at=flit.ejected_at,
-                    hops=flit.hops,
-                )
-                self.stats.deliveries.append(delivery)
-                if self._series is not None:
-                    self._series["noc.series.packets_delivered"].record(
-                        delivery.delivered_at
-                    )
-                    self._series["noc.series.latency"].record(
-                        delivery.delivered_at, delivery.latency
-                    )
-                if self._sink.enabled:
-                    self._sink.complete(
-                        "packet", "noc.packet", delivery.injected_at,
-                        delivery.latency, tid=destination,
-                        args={"packet": packet.packet_id,
-                              "source": str(packet.source),
-                              "hops": delivery.hops},
-                    )
-                for callback in self._delivered_callbacks:
-                    callback(delivery)
-
-    # -- aggregate inspection ---------------------------------------------
-
-    def publish_metrics(self, registry) -> None:
-        """Export network-level and summed per-router counters."""
-        registry.counter("noc.network.cycles").inc(self.stats.cycles)
-        registry.counter("noc.network.packets_injected").inc(
-            self.stats.packets_injected
-        )
-        registry.counter("noc.network.flits_injected").inc(
-            self.stats.flits_injected
-        )
-        registry.counter("noc.network.packets_delivered").inc(
-            self.stats.packets_delivered
-        )
-        registry.gauge("noc.network.max_latency").update_max(
-            self.stats.max_latency
-        )
-        if self.stats.flits_dropped:
-            registry.counter("noc.network.flits_dropped").inc(
-                self.stats.flits_dropped
-            )
-        if self.stats.packets_lost:
-            registry.counter("noc.network.packets_lost").inc(
-                self.stats.packets_lost
-            )
-        for node in sorted(self.routers, key=str):
-            self.routers[node].publish_metrics(registry)
-        for link in sorted(self._link_flits, key=str):
-            src, dst = link
-            registry.counter(f"noc.link.flits.{src}->{dst}").inc(
-                self._link_flits[link]
-            )
-        hub = getattr(self.topology, "core_attach", None)
-        for node in sorted(self._inject_depth_hw, key=str):
-            depth = self._inject_depth_hw[node]
-            registry.gauge(f"noc.inject_queue.max_depth.{node}").update_max(
-                depth
-            )
-            if node == hub:
-                registry.gauge("noc.hub.issue_queue_depth").update_max(depth)
-        publish_noc_series(registry, self._series)
 
     def total_buffered_flits(self) -> int:
         return sum(router.buffered_flits() for router in self.routers.values())

@@ -1,8 +1,12 @@
-"""Deterministic discrete-event simulation kernel.
+"""Deterministic simulation utilities.
 
-This is the substrate under both simulators in the package: the flit-level
-network simulator ticks a cycle process on it, and the transaction-level
-cache simulator schedules protocol events on it directly.
+Neither simulator in the package runs on an event queue: the flit-level
+networks (:mod:`repro.noc`) advance one cycle per ``step()``, and the
+transaction-level cache model books per-resource reservations
+(:class:`Resource`, :class:`FloorClock`). The discrete-event kernel
+(:class:`Event`, :class:`EventQueue`, :class:`Simulator`) is a
+standalone utility; :class:`repro.sim.kernel.DeadlineQueue` times the
+fault-recovery retries.
 """
 
 from repro.sim.kernel import Event, EventQueue, Simulator

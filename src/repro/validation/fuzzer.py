@@ -1,6 +1,6 @@
 """Seeded fuzzer: random geometries, traffic, and traces under checkers.
 
-``fuzz(n, seed)`` samples cases from eight families:
+``fuzz(n, seed)`` samples cases from seven families:
 
 * **noc** -- a random mesh / simplified-mesh / halo geometry with random
   unicast and multicast packets at random injection cycles, driven to
@@ -23,14 +23,12 @@
   rule -- the lint engine fuzz-tests itself;
 * **arraycore** -- a noc-family geometry and traffic (half the cases
   sampled at saturated / near-saturated injection rates around the
-  knee) replayed on the object core and the array core
-  (:class:`repro.noc.arraycore.ArrayNetwork`), diffing normalized
-  deliveries, stats, and telemetry counters bit-for-bit;
-* **telemetry** -- a noc-family geometry and traffic replayed on both
-  cores with a random windowed-series sample size, requiring the full
-  published registry snapshots (series windows, per-link flit counts,
-  per-VC occupancy, credit stalls) to be byte-identical across cores
-  and order-independent under merge;
+  knee) replayed with a random windowed-series sample size on the
+  object core and the array core
+  (:class:`repro.noc.arraycore.ArrayNetwork`), requiring normalized
+  deliveries, stats, and the full published registry snapshots (series
+  windows, per-link flit counts, per-VC occupancy, credit stalls) to be
+  byte-identical across cores and order-independent under merge;
 * **stream** -- a random multi-tenant open-loop mix (random rates,
   Zipf skews, catalogs, and arrival processes) served through
   :class:`repro.stream.service.StreamService` on a random design and
@@ -144,8 +142,12 @@ class ArraycoreCase:
 
     The object core is the reference; the struct-of-arrays core must
     produce bit-identical cycle counts, per-delivery timings/hops, and
-    telemetry counters. Packet ids are process-global counters, so the
-    digest keys deliveries by injection order instead.
+    full published registry snapshots (windowed series every
+    ``window`` cycles when > 0, per-link counters, per-VC occupancy,
+    credit stalls), and the merge of the two snapshots must not depend
+    on merge order (the telemetry triangle's associativity leg).
+    Packet ids are process-global counters, so the digest keys
+    deliveries by injection order instead.
     """
 
     kind: str  # "mesh" | "simplified" | "halo"
@@ -153,27 +155,7 @@ class ArraycoreCase:
     rows: int
     single_cycle: bool = True
     packets: tuple = ()
-
-
-@dataclass(frozen=True)
-class TelemetryCase:
-    """A random geometry + traffic with windowed series on both cores.
-
-    Runs the same traffic through the object core and the array core
-    with a random ``--window`` size, publishes
-    each into a fresh registry, and requires the full snapshots --
-    windowed series, per-link counters, per-VC occupancy, credit
-    stalls -- to be byte-identical across cores and for the merge of
-    the per-core snapshots to be independent of merge order (the
-    telemetry triangle's associativity leg).
-    """
-
-    kind: str  # "mesh" | "simplified" | "halo"
-    cols: int
-    rows: int
-    window: int = 16
-    single_cycle: bool = True
-    packets: tuple = ()
+    window: int = 0
 
 
 @dataclass(frozen=True)
@@ -297,6 +279,10 @@ def _make_oracle_case(rng: random.Random) -> OracleCase:
     )
 
 
+#: Windowed-series sample sizes for arraycore cases (0 = series off).
+_WINDOWS = (0, 2, 4, 8, 16, 32, 64, 128)
+
+
 def _make_arraycore_case(rng: random.Random) -> ArraycoreCase:
     base = _make_noc_case(rng)
     single_cycle = rng.random() < 0.7
@@ -308,6 +294,7 @@ def _make_arraycore_case(rng: random.Random) -> ArraycoreCase:
             rows=base.rows,
             single_cycle=single_cycle,
             packets=base.packets,
+            window=rng.choice(_WINDOWS),
         )
     # Saturated / near-saturated load point: a dense stream injected at
     # rates sampled around the saturation knee (one packet every 1-3
@@ -350,18 +337,7 @@ def _make_arraycore_case(rng: random.Random) -> ArraycoreCase:
         rows=base.rows,
         single_cycle=single_cycle,
         packets=tuple(packets),
-    )
-
-
-def _make_telemetry_case(rng: random.Random) -> TelemetryCase:
-    base = _make_noc_case(rng)
-    return TelemetryCase(
-        kind=base.kind,
-        cols=base.cols,
-        rows=base.rows,
-        window=rng.choice((2, 4, 8, 16, 32, 64, 128)),
-        single_cycle=rng.random() < 0.7,
-        packets=base.packets,
+        window=rng.choice(_WINDOWS),
     )
 
 
@@ -547,13 +523,12 @@ _FAMILY_MAKERS = {
     "faults": _make_faults_case,
     "analysis": _make_analysis_case,
     "arraycore": _make_arraycore_case,
-    "telemetry": _make_telemetry_case,
     "stream": _make_stream_case,
 }
 
 DEFAULT_FAMILIES = (
-    "noc", "cache", "faults", "analysis", "arraycore", "noc", "telemetry",
-    "cache", "oracle", "arraycore", "telemetry", "stream",
+    "noc", "cache", "faults", "analysis", "arraycore", "noc", "arraycore",
+    "cache", "oracle", "arraycore", "arraycore", "stream",
 )
 
 
@@ -587,13 +562,25 @@ def _run_noc_case(case: NocCase) -> None:
     run_with_checkers(network, max_cycles=20_000, stall_limit=300)
 
 
+def _metrics_snapshot(network) -> dict:
+    """The network's full published metrics, from a fresh registry."""
+    from repro.telemetry.registry import MetricsRegistry
+
+    registry = MetricsRegistry()
+    network.publish_metrics(registry)
+    return registry.snapshot()
+
+
 def _core_digest(network) -> tuple:
     """Core-independent fingerprint of a drained network's observables.
 
     Packet/flit ids are process-global counters that differ between two
     runs, so deliveries are keyed by (created_at, source, first-seen
-    order) instead of ``packet_id``.
+    order) instead of ``packet_id``. The last field is the full metrics
+    snapshot as canonical JSON, windowed series included.
     """
+    import json
+
     order: dict = {}
     rows = []
     for delivery in network.stats.deliveries:
@@ -614,40 +601,6 @@ def _core_digest(network) -> tuple:
             )
         )
     rows.sort()
-    counters: dict[str, object] = {}
-
-    class _Metric:
-        def __init__(self, name: str, high_water: bool) -> None:
-            self.name = name
-            self.high_water = high_water
-
-        def inc(self, value) -> None:
-            counters[self.name] = counters.get(self.name, 0) + value
-
-        def update_max(self, value) -> None:
-            counters[self.name] = max(counters.get(self.name, 0), value)
-
-    class _SeriesSink:
-        def __init__(self, name: str) -> None:
-            self.name = name
-
-        def merge(self, snapshot) -> None:
-            # Windowed series content joins the digest verbatim, so two
-            # cores with matching counters but diverging time-resolved
-            # windows still fingerprint differently.
-            counters[f"series::{self.name}"] = repr(snapshot)
-
-    class _Registry:
-        def counter(self, name: str) -> _Metric:
-            return _Metric(name, False)
-
-        def gauge(self, name: str) -> _Metric:
-            return _Metric(name, True)
-
-        def series(self, name: str, window, agg, edges) -> _SeriesSink:
-            return _SeriesSink(name)
-
-    network.publish_metrics(_Registry())
     stats = network.stats
     return (
         stats.cycles,
@@ -655,7 +608,7 @@ def _core_digest(network) -> tuple:
         stats.flits_injected,
         stats.packets_delivered,
         tuple(rows),
-        tuple(sorted(counters.items())),
+        json.dumps(_metrics_snapshot(network), sort_keys=True),
     )
 
 
@@ -665,51 +618,9 @@ def _run_arraycore_case(case: ArraycoreCase) -> None:
     from repro.noc.network import Network
     from repro.noc.packet import MessageType, Packet
 
-    def run(factory) -> tuple:
+    def run(factory):
         topology = _build_topology(NocCase(case.kind, case.cols, case.rows))
         network = factory(
-            topology, RouterConfig(single_cycle=bool(case.single_cycle))
-        )
-        for spec in case.packets:
-            packet = Packet(
-                MessageType(spec.message), spec.source, tuple(spec.destinations)
-            )
-            network.schedule_injection(packet, at_cycle=spec.inject_cycle)
-        network.run_until_drained(max_cycles=20_000)
-        return _core_digest(network)
-
-    reference = run(lambda t, c: Network(t, router_config=c))
-    digest = run(lambda t, c: ArrayNetwork(t, router_config=c))
-    if digest != reference:
-        fields_ = (
-            "cycles", "packets_injected", "flits_injected",
-            "packets_delivered", "deliveries", "counters",
-        )
-        diffs = [
-            name
-            for name, obj, arr in zip(fields_, reference, digest)
-            if obj != arr
-        ]
-        raise ValidationError(
-            f"array core diverged from object core on {', '.join(diffs)}: "
-            f"object={reference!r} array={digest!r}"
-        )
-
-
-def _run_telemetry_case(case: TelemetryCase) -> None:
-    import json
-
-    from repro.config import RouterConfig
-    from repro.noc.arraycore import ArrayNetwork
-    from repro.noc.network import Network
-    from repro.noc.packet import MessageType, Packet
-    from repro.telemetry.registry import MetricsRegistry
-
-    cores = [("object", Network), ("array", ArrayNetwork)]
-    snapshots = {}
-    for name, cls in cores:
-        topology = _build_topology(NocCase(case.kind, case.cols, case.rows))
-        network = cls(
             topology,
             router_config=RouterConfig(single_cycle=bool(case.single_cycle)),
             window=case.window,
@@ -720,33 +631,53 @@ def _run_telemetry_case(case: TelemetryCase) -> None:
             )
             network.schedule_injection(packet, at_cycle=spec.inject_cycle)
         network.run_until_drained(max_cycles=20_000)
-        registry = MetricsRegistry()
-        network.publish_metrics(registry)
-        snapshots[name] = registry.snapshot()
-    if len(snapshots) == 2:
-        texts = {
-            name: json.dumps(snap, sort_keys=True)
-            for name, snap in snapshots.items()
-        }
-        if texts["object"] != texts["array"]:
-            diffs = sorted(
-                key
-                for key in set(snapshots["object"]) | set(snapshots["array"])
-                if snapshots["object"].get(key) != snapshots["array"].get(key)
-            )
-            raise ValidationError(
-                "windowed telemetry diverged between cores on: "
-                + ", ".join(diffs[:8])
-            )
+        return network
+
+    reference_net = run(Network)
+    array_net = run(ArrayNetwork)
+    reference = _core_digest(reference_net)
+    digest = _core_digest(array_net)
+    snapshots = [_metrics_snapshot(reference_net), _metrics_snapshot(array_net)]
+    if digest != reference:
+        fields_ = (
+            "cycles", "packets_injected", "flits_injected",
+            "packets_delivered", "deliveries", "metrics",
+        )
+        diffs = [
+            name
+            for name, obj, arr in zip(fields_, reference, digest)
+            if obj != arr
+        ]
+        keys = _diverging_keys(*snapshots)
+        raise ValidationError(
+            f"array core diverged from object core on {', '.join(diffs)}"
+            + (f" (metrics: {', '.join(keys[:8])})" if keys else "")
+            + f": object={reference[:4]!r} array={digest[:4]!r}"
+        )
+    _require_order_free_merge(snapshots, "telemetry")
+
+
+def _diverging_keys(first: dict, second: dict) -> list:
+    """Metric names whose snapshots differ between two registries."""
+    return sorted(
+        key
+        for key in set(first) | set(second)
+        if first.get(key) != second.get(key)
+    )
+
+
+def _require_order_free_merge(snapshots: list, what: str) -> None:
+    """Folding the per-core snapshots must not depend on merge order."""
+    from repro.telemetry.registry import MetricsRegistry
+
     forward, reverse = MetricsRegistry(), MetricsRegistry()
-    ordered = [snapshots[name] for name, _ in cores]
-    for snap in ordered:
+    for snap in snapshots:
         forward.merge(snap)
-    for snap in reversed(ordered):
+    for snap in reversed(snapshots):
         reverse.merge(snap)
     if forward.snapshot() != reverse.snapshot():
         raise ValidationError(
-            "telemetry merge is order-dependent: forward != reverse fold "
+            f"{what} merge is order-dependent: forward != reverse fold "
             "of the per-core snapshots"
         )
 
@@ -802,11 +733,7 @@ def _run_stream_case(case: StreamCase) -> None:
         for core, snap in snapshots.items()
     }
     if texts["object"] != texts["array"]:
-        diffs = sorted(
-            key
-            for key in set(snapshots["object"]) | set(snapshots["array"])
-            if snapshots["object"].get(key) != snapshots["array"].get(key)
-        )
+        diffs = _diverging_keys(snapshots["object"], snapshots["array"])
         raise ValidationError(
             "stream telemetry diverged between cores on: "
             + ", ".join(diffs[:8])
@@ -816,17 +743,9 @@ def _run_stream_case(case: StreamCase) -> None:
             "stream service is nondeterministic: object-core re-run "
             "produced a different snapshot"
         )
-    forward, reverse = MetricsRegistry(), MetricsRegistry()
-    ordered = [snapshots["object"], snapshots["array"]]
-    for snap in ordered:
-        forward.merge(snap)
-    for snap in reversed(ordered):
-        reverse.merge(snap)
-    if forward.snapshot() != reverse.snapshot():
-        raise ValidationError(
-            "stream telemetry merge is order-dependent: forward != "
-            "reverse fold of the per-core snapshots"
-        )
+    _require_order_free_merge(
+        [snapshots["object"], snapshots["array"]], "stream telemetry"
+    )
 
 
 def _make_policy(name: str):
@@ -925,8 +844,6 @@ def run_case(case) -> None:
         _run_faults_case(case)
     elif isinstance(case, ArraycoreCase):
         _run_arraycore_case(case)
-    elif isinstance(case, TelemetryCase):
-        _run_telemetry_case(case)
     elif isinstance(case, StreamCase):
         _run_stream_case(case)
     elif isinstance(case, AnalysisCase):
@@ -1000,7 +917,7 @@ def shrink_case(case):
             if _fails(candidate):
                 return candidate
         return case
-    if isinstance(case, (ArraycoreCase, TelemetryCase)):
+    if isinstance(case, ArraycoreCase):
         packets = shrink_list(
             list(case.packets),
             lambda kept: _fails(replace(case, packets=tuple(kept))),
@@ -1046,7 +963,6 @@ _CASE_IMPORTS = {
     FaultsCase: "FaultsCase, PacketSpec",
     AnalysisCase: "AnalysisCase",
     ArraycoreCase: "ArraycoreCase, PacketSpec",
-    TelemetryCase: "TelemetryCase, PacketSpec",
     StreamCase: "StreamCase",
 }
 

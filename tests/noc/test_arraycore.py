@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import random
 import sys
 
@@ -29,6 +30,7 @@ from repro.noc import (
     SimplifiedMeshTopology,
 )
 import repro.noc.arraycore as arraycore
+import repro.noc.packet as packet_mod
 from repro.noc.arraycore import ArrayNetwork, FlitPool
 from repro.noc.network import make_network, normalize_core
 from repro.validation.fuzzer import _core_digest
@@ -202,6 +204,28 @@ class TestSoAPlumbing:
         assert pool.capacity >= 5
         assert pool.size == 5
         assert pool.destinations[4] == (4,)
+
+    def test_flit_rows_recycle_on_eject(self):
+        # A long, sparse run whose flits outnumber the initial pool many
+        # times over: each row is freed when its flit ejects, so the pool
+        # holds the flits live at once, not every flit the run injected.
+        net = ArrayNetwork(SimplifiedMeshTopology(4, 4))
+        for i in range(600):
+            x = i % 4
+            column = tuple((x, y) for y in range(4))
+            net.schedule_injection(
+                Packet(MessageType.WRITEBACK, (x, 0), ((x, 3),)),
+                at_cycle=i * 8,
+            )
+            net.schedule_injection(
+                Packet(MessageType.READ_REQUEST, (x, 0), column),
+                at_cycle=i * 8 + 4,
+            )
+        net.run_until_drained(max_cycles=100_000)
+        assert len(net.stats.deliveries) == 600 * 5
+        assert net.stats.flits_injected >= 10 * FlitPool().capacity
+        assert net.pool.in_use == 0
+        assert net.pool.capacity < net.stats.flits_injected
 
     def test_ring_buffer_wraparound(self):
         # Force heavy reuse of one VC: a long single-source stream keeps
@@ -388,3 +412,114 @@ class TestObservabilityEquivalence:
         )
         assert snaps["object"] == snaps["array"]
         assert "noc.hub.issue_queue_depth" in snaps["object"]
+
+
+def _front_end_mesh():
+    nodes = [(x, y) for x in range(4) for y in range(4)]
+    return MeshTopology(4, 4), _unicast_stream(nodes, 31, count=40, spacing=1)
+
+
+def _front_end_halo():
+    topology = HaloTopology(4, 4)
+    nodes = sorted(topology.nodes, key=str)
+    rng = random.Random(37)
+    packets = _unicast_stream(nodes, 37, count=20, spacing=2)
+    spikes = [n for n in nodes if n[0] == "spike"]
+    for i in range(10):
+        packets.append(
+            (MessageType.MISS_NOTIFY, ("hub",), tuple(rng.sample(spikes, 3)),
+             i * 3)
+        )
+    return topology, packets
+
+
+def _front_end_simplified():
+    rng = random.Random(41)
+    packets = []
+    for i in range(24):
+        x = rng.randrange(4)
+        packets.append(
+            (MessageType.READ_REQUEST, (x, 0),
+             tuple((x, y) for y in range(4)), i * 2)
+        )
+        packets.append(
+            (MessageType.WRITEBACK, (x, 0), ((x, rng.randrange(1, 4)),), i * 2)
+        )
+    return SimplifiedMeshTopology(4, 4), packets
+
+
+class TestSharedFrontEnd:
+    """Both cores inherit one ``FlitNetwork`` front end: the drain loop,
+    its diagnostic, and the timed-injection and progress probes must
+    read identically on either cycle, cycle by cycle. Packet ids appear
+    in the texts, so each core's run restarts the id counter."""
+
+    WORKLOADS = {
+        "mesh": _front_end_mesh,
+        "halo": _front_end_halo,
+        "simplified": _front_end_simplified,
+    }
+
+    def _build(self, cls, workload, monkeypatch):
+        monkeypatch.setattr(packet_mod, "_packet_ids", itertools.count())
+        topology, packets = self.WORKLOADS[workload]()
+        net = cls(topology)
+        for message, source, destinations, at_cycle in packets:
+            net.schedule_injection(
+                Packet(message, source, destinations), at_cycle=at_cycle
+            )
+        return net
+
+    @pytest.mark.parametrize("stop", [9, 25])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_drain_timeout_text_identical(self, workload, stop, monkeypatch):
+        texts = {}
+        for cls in (Network, ArrayNetwork):
+            net = self._build(cls, workload, monkeypatch)
+            with pytest.raises(SimulationError) as info:
+                net.run_until_drained(max_cycles=stop)
+            assert net.cycle == stop
+            texts[cls.__name__] = str(info.value)
+        assert texts["Network"] == texts["ArrayNetwork"]
+        text = texts["Network"]
+        assert f"did not drain within {stop} cycles" in text
+        assert "routers holding traffic (0)" not in text
+        assert " vc " in text
+        assert "next timed injection at cycle" in text
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_progress_probes_agree_each_cycle(self, workload, monkeypatch):
+        trails = {}
+        for cls in (Network, ArrayNetwork):
+            net = self._build(cls, workload, monkeypatch)
+            trail = []
+            while True:
+                trail.append((
+                    net.cycle,
+                    net.next_timed_injection(),
+                    net.next_wakeup(),
+                    net.idle(),
+                    net.pending_work(),
+                    net.outstanding_deliveries(),
+                    net.in_flight_flits(),
+                ))
+                if net.idle() and net.next_timed_injection() is None:
+                    break
+                net.step()
+            trails[cls.__name__] = trail
+        assert trails["Network"] == trails["ArrayNetwork"]
+        assert any(row[6] for row in trails["Network"])  # flits on wires
+
+    def test_schedule_into_the_past_raises_identically(self):
+        errors = {}
+        for cls in (Network, ArrayNetwork):
+            net = cls(MeshTopology(2, 2))
+            net.run(5)
+            with pytest.raises(SimulationError) as info:
+                net.schedule_injection(
+                    Packet(MessageType.READ_REQUEST, (0, 0), ((1, 1),)),
+                    at_cycle=3,
+                )
+            errors[cls.__name__] = str(info.value)
+        assert errors["Network"] == errors["ArrayNetwork"]
+        assert errors["Network"] == "cannot inject at 3; current cycle is 5"

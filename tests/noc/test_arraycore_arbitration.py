@@ -170,19 +170,15 @@ def _plant_array(spec):
             packet = Packet(
                 MessageType.READ_REQUEST, NODES[r], (NODES[dest],)
             )
-            row = len(net._packets)
-            net._packets.append(packet)
             flit = net.pool.alloc(
-                row, True, True, 0, (dest,), 0, 0, 0 if eligible else 1
+                packet, True, True, 0, (dest,), 0, 0, 0 if eligible else 1
             )
             net._push(r, gvc, flit)
         else:
             _, out, out_vc, eligible, tail = planted
             packet = Packet(MessageType.WRITEBACK, NODES[r], (NODES[r],))
-            row = len(net._packets)
-            net._packets.append(packet)
             flit = net.pool.alloc(
-                row, False, tail, 4 if tail else 1, (r,), 0, 0,
+                packet, False, tail, 4 if tail else 1, (r,), 0, 0,
                 0 if eligible else 1,
             )
             net._vc_active[gvc] = packet.packet_id
@@ -234,7 +230,7 @@ def _run_array(spec):
             str(NODES[r]),
             "EJECT" if eject else str(NODES[net._out_nodes[r][out_local]]),
             None if eject else out_vc,
-            tags[net._packets[net.pool.packet[flit]].packet_id],
+            tags[net.pool.packet[flit].packet_id],
         ))
 
     net._handle_forward = record

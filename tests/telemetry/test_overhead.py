@@ -144,8 +144,10 @@ class TestWindowedSeriesOffPath:
             system.run(trace, profile, warmup=warmup)
 
         run_once()  # warm caches/imports outside the timed region
-        plain_s = min(timeit.repeat(run_once, repeat=3, number=1))
-        windowed_s = min(
-            timeit.repeat(lambda: run_once(window=64), repeat=3, number=1)
-        )
-        assert windowed_s < plain_s * 1.5 + 1e-3
+        # Interleave the two kinds of run so a burst of load on a shared
+        # host lands on both sides, then compare the best of each.
+        plain, windowed = [], []
+        for _ in range(7):
+            plain.append(timeit.timeit(run_once, number=1))
+            windowed.append(timeit.timeit(lambda: run_once(window=64), number=1))
+        assert min(windowed) < min(plain) * 1.5 + 1e-3
